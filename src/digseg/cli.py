@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from .config import SolveConfig
+from .config import SolveConfig, finish_result
 from .core import (
     DirectedGraph,
     FeatureMatrix,
@@ -150,8 +150,6 @@ def _cmd_oracle(args) -> int:
     start = time.perf_counter()
     partition, total = brute_force_dgs(graph, features, penalties, args.k)
     seconds = time.perf_counter() - start
-    from .config import finish_result
-
     result = finish_result(graph, features, penalties, partition, 1, True, 0, seconds)
     _write_file(args.out, _result_payload(graph, args.k, penalties, "oracle", result, seconds))
     return 0

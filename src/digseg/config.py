@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .core import DirectedGraph, FeatureMatrix, OrderedPartition, Penalties
-from .objective import CostBreakdown, total_cost
+from .objective import CostBreakdown, SolveState, total_cost
 
 SOLVER_KINDS = ("greedy", "treedp", "mcut")
 COMMIT_TOL = 1e-9
@@ -65,7 +66,7 @@ def small_improvement(old: float, new: float, rel_tol: float) -> bool:
     Losses can span orders of magnitude, so the improvement is scaled by
     max(old, 1).  Two infinite losses are incomparable here (progress may
     still be happening in the count of infinitely-penalized edges), so the
-    loops keep going until they stop committing moves.
+    loop keeps going until it stops committing moves.
     """
     if math.isinf(old):
         return False
@@ -92,4 +93,59 @@ def finish_result(
         seed=seed,
         seconds=seconds,
         step_losses=step_losses,
+    )
+
+
+Step = Callable[[SolveState, int, Optional[list[float]]], int]
+
+
+def alternate(
+    graph: DirectedGraph,
+    features: FeatureMatrix,
+    penalties: Penalties,
+    init: OrderedPartition,
+    config: SolveConfig,
+    step: Step,
+    repair: Optional[Callable[[SolveState], object]] = None,
+) -> SolveResult:
+    """The alternating loop every solver runs, from the partition `init`.
+
+    Iteration `it` (1-based) first reseeds empty groups with `repair`, when
+    one is given and some group is empty, then calls `step(state, it,
+    step_log)`: a partition step against the centers of the current groups
+    (read from `state`'s running sums), which moves vertices in `state` and
+    returns how many changes it committed, appending the loss after each
+    commit to `step_log` when `config.track_steps` is set.  Neither the
+    center update nor any step increases the loss, so the logged losses are
+    non-increasing.  The loop stops, converged, once a step commits nothing
+    or the relative loss improvement falls below `config.rel_tol`, and
+    otherwise after `config.max_iters` iterations.  The result's breakdown
+    is recomputed from scratch.
+    """
+    start = time.perf_counter()
+    state = SolveState.from_partition(graph, features, penalties, init)
+    step_log: Optional[list[float]] = [] if config.track_steps else None
+    loss = state.total()
+    converged = False
+    iterations = 0
+    for it in range(1, config.max_iters + 1):
+        iterations = it
+        if repair is not None and state.empty_groups():
+            repair(state)
+        changes = step(state, it, step_log)
+        new_loss = state.total()
+        if changes == 0 or small_improvement(loss, new_loss, config.rel_tol):
+            converged = True
+            break
+        loss = new_loss
+    return finish_result(
+        graph,
+        features,
+        penalties,
+        state.partition(),
+        iterations,
+        converged,
+        config.seed,
+        time.perf_counter() - start,
+        step_log,
     )

@@ -250,14 +250,29 @@ class Penalties:
             if math.isnan(val) or val < 0:
                 raise ValueError(f"{name} must be a non-negative real or inf, got {val}")
 
+    def split(self, forward, backward):
+        """(count of infinitely weighted edges, finite penalty) of edge counts.
+
+        Works elementwise on numpy arrays as on scalars, and on signed count
+        changes as on counts.  Infinite weights are never multiplied, so a
+        zero count contributes zero at infinite weight, and costs compare
+        lexicographically by the two parts where plain sums would all be inf.
+        """
+        inf_edges, finite = 0, 0.0
+        if math.isinf(self.lambda_f):
+            inf_edges = forward
+        else:
+            finite = self.lambda_f * forward
+        if math.isinf(self.lambda_b):
+            inf_edges = inf_edges + backward
+        else:
+            finite = finite + self.lambda_b * backward
+        return inf_edges, finite
+
     def cross_cost(self, forward: int, backward: int) -> float:
         """Total penalty of the given cross-edge counts (0 * inf == 0)."""
-        total = 0.0
-        if forward:
-            total += self.lambda_f * forward
-        if backward:
-            total += self.lambda_b * backward
-        return total
+        inf_edges, finite = self.split(forward, backward)
+        return math.inf if inf_edges else finite
 
     def cross_cost_delta(self, d_forward: int, d_backward: int) -> float:
         """Signed penalty change for count changes (d_forward, d_backward).
@@ -267,16 +282,7 @@ class Penalties:
         yields +inf, shedding one yields -inf, and an unchanged count falls
         back to the finite part.
         """
-        inf_change = 0
-        finite = 0.0
-        if math.isinf(self.lambda_f):
-            inf_change += d_forward
-        else:
-            finite += self.lambda_f * d_forward
-        if math.isinf(self.lambda_b):
-            inf_change += d_backward
-        else:
-            finite += self.lambda_b * d_backward
+        inf_change, finite = self.split(d_forward, d_backward)
         if inf_change > 0:
             return math.inf
         if inf_change < 0:

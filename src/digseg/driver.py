@@ -1,11 +1,9 @@
 """Alternating optimization driver: two-phase start, solver dispatch, restarts.
 
-One outer iteration recomputes group centers from the current partition and
-then runs the configured partition step: an exact tree solve, a pairwise cut
-sweep, or a greedy scan.  The center step never increases the fixed-center
-objective (means are optimal) and neither does any partition step, so the
-loss sequence is non-increasing.  Empty groups are reseeded before partition
-steps that need every center defined.
+Every solver runs the one alternating loop, `config.alternate`, with its own
+partition step: an exact tree solve (`_tree_step` below), a pairwise cut
+sweep (`mincut.run_mcut`) or a greedy scan (`greedy.run_greedy`).  Empty
+groups are reseeded before partition steps that need every center defined.
 
 A restart runs in two phases.  The first clusters with both weights at 0
 (plain clustering, the problem's unordered special case) from a seeded
@@ -25,7 +23,6 @@ separately.
 from __future__ import annotations
 
 import dataclasses
-import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
@@ -35,7 +32,7 @@ import numpy as np
 from . import greedy as greedy_mod
 from . import mincut as mincut_mod
 from . import treedp as treedp_mod
-from .config import SolveConfig, SolveResult, finish_result, norm_seed, small_improvement
+from .config import SolveConfig, SolveResult, alternate, norm_seed
 from .core import DirectedGraph, FeatureMatrix, OrderedPartition, Penalties
 from .objective import SolveState
 
@@ -48,16 +45,14 @@ def random_init(n: int, k: int, seed: int) -> OrderedPartition:
     return OrderedPartition.from_labels(k, rng.integers(1, k + 1, size=n))
 
 
-def repair_empty_groups(state: SolveState, features: FeatureMatrix, seed: int) -> SolveState:
+def repair_empty_groups(state: SolveState) -> SolveState:
     """Reseed each empty group with one vertex, farthest from its own center.
 
     Donor groups must keep at least two members so the repair cannot create a
     new empty group; ties go to the lowest vertex id.  With fewer vertices
     than groups some groups necessarily stay empty (visible via
-    `state.empty_groups()`).  Deterministic regardless of `seed`; the
-    argument is kept for interface stability.
+    `state.empty_groups()`).
     """
-    del seed
     while True:
         empties = state.empty_groups()
         if not empties:
@@ -68,64 +63,25 @@ def repair_empty_groups(state: SolveState, features: FeatureMatrix, seed: int) -
             return state
         centroids = state.centroids()
         own_mu = centroids.mu[state.assign - 1]
-        dist2 = ((features.values - own_mu) ** 2).sum(axis=1)
+        dist2 = ((state.values - own_mu) ** 2).sum(axis=1)
         dist2 = np.where(movable, dist2, -1.0)
         v = int(np.argmax(dist2))  # argmax keeps the lowest id among ties
         state.apply_move(v, empties[0])
 
 
-def _make_repair(features: FeatureMatrix, seed: int):
-    def hook(state: SolveState) -> None:
-        if state.empty_groups():
-            repair_empty_groups(state, features, seed)
-
-    return hook
-
-
-def _run_treedp(
-    graph: DirectedGraph,
-    features: FeatureMatrix,
-    penalties: Penalties,
-    k: int,
-    init: OrderedPartition,
-    config: SolveConfig,
-    repair_hook,
-) -> SolveResult:
-    start = time.perf_counter()
-    state = SolveState.from_partition(graph, features, penalties, init)
-    step_log: Optional[list[float]] = [] if config.track_steps else None
-    loss = state.total()
-    converged = False
-    iterations = 0
-    for it in range(1, config.max_iters + 1):
-        iterations = it
-        if repair_hook is not None:
-            repair_hook(state)
-        centroids = state.centroids()
-        new_part, _ = treedp_mod.solve_tree_partition(graph, features, centroids, penalties)
-        if np.array_equal(new_part.assign, state.assign):
-            converged = True
-            break
-        state = SolveState.from_partition(graph, features, penalties, new_part)
-        new_loss = state.total()
-        if step_log is not None:
-            step_log.append(new_loss)
-        if small_improvement(loss, new_loss, config.rel_tol):
-            converged = True
-            loss = new_loss
-            break
-        loss = new_loss
-    return finish_result(
-        graph,
-        features,
-        penalties,
-        state.partition(),
-        iterations,
-        converged,
-        config.seed,
-        time.perf_counter() - start,
-        step_log,
+def _tree_step(state: SolveState, it: int, step_log: Optional[list[float]]) -> int:
+    """Exact tree partition against the current centers, written into `state`."""
+    new_part, _ = treedp_mod.solve_tree_partition(
+        state.graph, state.features, state.centroids(), state.penalties
     )
+    changed = new_part.assign != state.assign
+    changes = int(changed.sum())
+    if changes:
+        state.assign[changed] = new_part.assign[changed]
+        state.rebuild()
+        if step_log is not None:
+            step_log.append(state.total())
+    return changes
 
 
 def order_groups(
@@ -147,18 +103,11 @@ def order_groups(
     groups = partition.assign - 1
     np.add.at(counts, (groups[graph.edge_src], groups[graph.edge_dst]), 1)
     np.fill_diagonal(counts, 0)  # edges inside a group are never cross edges
-    weights = (penalties.lambda_b, penalties.lambda_f)
     unplaced = list(range(k))
 
     def cost(j: int) -> tuple[int, float]:
-        inf_edges, finite = 0, 0.0
-        into_j, out_of_j = int(counts[unplaced, j].sum()), int(counts[j, unplaced].sum())
-        for lam, edges in zip(weights, (into_j, out_of_j)):
-            if math.isinf(lam):
-                inf_edges += edges
-            elif edges:
-                finite += lam * edges
-        return inf_edges, finite
+        out_of_j, into_j = int(counts[j, unplaced].sum()), int(counts[unplaced, j].sum())
+        return penalties.split(out_of_j, into_j)
 
     position = np.empty(k + 1, dtype=np.int64)
     for pos in range(1, k + 1):
@@ -177,15 +126,14 @@ def _run_phase(
     config: SolveConfig,
 ) -> SolveResult:
     if config.solver_kind == "treedp":
-        return _run_treedp(
-            graph, features, penalties, k, init, config, _make_repair(features, config.seed)
+        return alternate(
+            graph, features, penalties, init, config, _tree_step, repair_empty_groups
         )
     if config.solver_kind == "mcut":
         return mincut_mod.run_mcut(
-            graph, features, penalties, k, init, config,
-            _repair=_make_repair(features, config.seed),
+            graph, features, penalties, k, init, config, _repair=repair_empty_groups
         )
-    repair = _make_repair(features, config.seed) if config.forbid_empty else None
+    repair = repair_empty_groups if config.forbid_empty else None
     return greedy_mod.run_greedy(graph, features, penalties, k, init, config, _repair=repair)
 
 
@@ -242,10 +190,11 @@ def multi_restart(
 
     Each run is one two-phase `run_iterative` call, so the returned result's
     `iterations` and `seconds` count both of its phases, and its
-    `step_losses` only the weighted one.  Returns the minimum-loss result,
-    breaking ties toward the lower seed; deterministic for a fixed
-    configuration whether run serially or with process parallelism
-    (`threads` > 1).
+    `step_losses` only the weighted one.  Returns the run with the fewest
+    infinitely weighted cross edges, then the lowest finite loss, then the
+    lowest seed (for finite weights: the minimum total, ties to the lower
+    seed); deterministic for a fixed configuration whether run serially or
+    with process parallelism (`threads` > 1).
     """
     configs = [config.with_seed(config.seed + r) for r in range(config.restarts)]
     if threads > 1 and config.restarts > 1:
@@ -256,4 +205,10 @@ def multi_restart(
             ))
     else:
         results = [run_iterative(graph, features, penalties, k, c) for c in configs]
-    return min(results, key=lambda r: (r.breakdown.total, r.seed))
+
+    def key(r: SolveResult) -> tuple[int, float, int]:
+        b = r.breakdown
+        inf_edges, finite = penalties.split(b.forward_edges, b.backward_edges)
+        return inf_edges, b.coherence + finite, r.seed
+
+    return min(results, key=key)

@@ -11,6 +11,7 @@ ground truth has no backward cross edges by construction.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -198,14 +199,7 @@ def run_noise_sweep(
             inst = gen_sdag(n, d, k, sigma2, edge_prob, seed=inst_seed)
         noisy = inject_noise(inst, p, seed=inst_seed + 1)
         for pen in penalties_list:
-            cell_config = SolveConfig(
-                max_iters=config.max_iters,
-                restarts=config.restarts,
-                seed=config.seed,
-                rel_tol=config.rel_tol,
-                solver_kind=solver_kind,
-                forbid_empty=config.forbid_empty,
-            )
+            cell_config = dataclasses.replace(config, solver_kind=solver_kind, track_steps=False)
             start = time.perf_counter()
             result = multi_restart(noisy.graph, noisy.features, pen, k, cell_config, threads=threads)
             elapsed = time.perf_counter() - start

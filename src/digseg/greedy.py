@@ -1,6 +1,6 @@
-"""Greedy local search: move single vertices to their best group until stable.
+"""Greedy local search: the partition step that moves single vertices.
 
-Each scan visits every vertex in a seeded random order, evaluates all k-1
+A scan visits every vertex in a seeded random order, evaluates all k-1
 alternative groups with the O(d)-per-group running-sum identity plus one
 O(deg v) pass over the incident edges, and immediately commits any strictly
 improving best move.
@@ -9,13 +9,12 @@ improving best move.
 from __future__ import annotations
 
 import math
-import time
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import DirectedGraph, FeatureMatrix, OrderedPartition, Penalties
-from .config import COMMIT_TOL, SolveConfig, SolveResult, finish_result, iteration_rng, small_improvement
+from .config import COMMIT_TOL, SolveConfig, SolveResult, alternate, iteration_rng
 from .objective import SolveState
 
 REVALIDATE_EVERY = 64  # full cache rebuild cadence, bounds running-sum drift
@@ -57,17 +56,7 @@ def best_move(state: SolveState, v: int) -> tuple[int, float]:
     dfwd = fwd_at - fwd_at[i]
     dbwd = bwd_at - bwd_at[i]
 
-    pen = state.penalties
-    inf_change = np.zeros(k + 1, dtype=np.int64)
-    finite = np.zeros(k + 1, dtype=np.float64)
-    if math.isinf(pen.lambda_f):
-        inf_change += dfwd
-    else:
-        finite += pen.lambda_f * dfwd
-    if math.isinf(pen.lambda_b):
-        inf_change += dbwd
-    else:
-        finite += pen.lambda_b * dbwd
+    inf_change, finite = state.penalties.split(dfwd, dbwd)
     d_edge = np.where(inf_change > 0, math.inf, np.where(inf_change < 0, -math.inf, finite))
 
     delta = d_coh + d_edge
@@ -112,50 +101,22 @@ def run_greedy(
     k: int,
     init: OrderedPartition,
     config: SolveConfig,
-    _repair: Optional[Callable[[SolveState], None]] = None,
+    _repair: Optional[Callable[[SolveState], object]] = None,
 ) -> SolveResult:
     """Greedy local search from the given initial partition.
 
-    Scans repeat until one commits no move, the relative loss improvement
-    drops below `config.rel_tol`, or `config.max_iters` is reached.  The scan
-    order is a fresh random permutation each iteration, derived from the run
-    seed.  Empty groups are legal unless `config.forbid_empty` is set.
+    Each iteration of `alternate` is one scan in a fresh random order derived
+    from the run seed; every `REVALIDATE_EVERY` scans the caches are rebuilt.
+    Empty groups are legal unless `config.forbid_empty` is set.
     """
     if init.k != k or init.n != graph.n:
         raise ValueError("initial partition does not match the instance")
-    start = time.perf_counter()
-    state = SolveState.from_partition(graph, features, penalties, init)
-    step_log: Optional[list[float]] = [] if config.track_steps else None
-    loss = state.total()
-    converged = False
-    iterations = 0
-    for it in range(1, config.max_iters + 1):
-        iterations = it
-        if _repair is not None:
-            _repair(state)
+
+    def step(state: SolveState, it: int, step_log: Optional[list[float]]) -> int:
         order = iteration_rng(config.seed, it).permutation(graph.n)
-        commits = sweep(
-            state,
-            order,
-            forbid_empty=config.forbid_empty,
-            step_log=step_log,
-        )
+        commits = sweep(state, order, forbid_empty=config.forbid_empty, step_log=step_log)
         if it % REVALIDATE_EVERY == 0:
             state.rebuild()
-        new_loss = state.total()
-        if commits == 0 or small_improvement(loss, new_loss, config.rel_tol):
-            converged = True
-            loss = new_loss
-            break
-        loss = new_loss
-    return finish_result(
-        graph,
-        features,
-        penalties,
-        state.partition(),
-        iterations,
-        converged,
-        config.seed,
-        time.perf_counter() - start,
-        step_log,
-    )
+        return commits
+
+    return alternate(graph, features, penalties, init, config, step, _repair)

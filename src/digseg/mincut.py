@@ -11,14 +11,13 @@ cut that avoids them.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import DirectedGraph, FeatureMatrix, OrderedPartition, Penalties
-from .config import COMMIT_TOL, SolveConfig, SolveResult, finish_result, small_improvement
+from .config import COMMIT_TOL, SolveConfig, SolveResult, alternate
 from .objective import Centroids, SolveState, fixed_centroid_cost, vertex_group_costs
 
 GRID_SCALE = 2.0**40
@@ -361,6 +360,11 @@ def pair_sweep(
     return commits
 
 
+def _sweep_step(state: SolveState, it: int, step_log: Optional[list[float]]) -> int:
+    state.rebuild()  # clear running-sum drift before the sweep
+    return pair_sweep(state, state.penalties, step_log=step_log)
+
+
 def run_mcut(
     graph: DirectedGraph,
     features: FeatureMatrix,
@@ -368,45 +372,16 @@ def run_mcut(
     k: int,
     init: OrderedPartition,
     config: SolveConfig,
-    _repair: Optional[Callable[[SolveState], None]] = None,
+    _repair: Optional[Callable[[SolveState], object]] = None,
 ) -> SolveResult:
     """Pairwise cut search from the given initial partition.
 
-    Repeats full pair sweeps until one commits nothing, the relative loss
-    improvement drops below `config.rel_tol`, or `config.max_iters` is
-    reached.  Pairs with an empty (undefined-center) side are skipped; the
-    iterative driver reseeds empty groups between sweeps.
+    Each iteration of `alternate` is one full pair sweep.  Pairs with an
+    empty (undefined-center) side are skipped; the iterative driver reseeds
+    empty groups between sweeps.
     """
     if k < 2:
         raise ValueError(f"the pairwise cut solver needs k >= 2, got {k}")
     if init.k != k or init.n != graph.n:
         raise ValueError("initial partition does not match the instance")
-    start = time.perf_counter()
-    state = SolveState.from_partition(graph, features, penalties, init)
-    step_log: Optional[list[float]] = [] if config.track_steps else None
-    loss = state.total()
-    converged = False
-    iterations = 0
-    for it in range(1, config.max_iters + 1):
-        iterations = it
-        if _repair is not None:
-            _repair(state)
-        state.rebuild()  # clear running-sum drift before the sweep
-        commits = pair_sweep(state, penalties, step_log=step_log)
-        new_loss = state.total()
-        if commits == 0 or small_improvement(loss, new_loss, config.rel_tol):
-            converged = True
-            loss = new_loss
-            break
-        loss = new_loss
-    return finish_result(
-        graph,
-        features,
-        penalties,
-        state.partition(),
-        iterations,
-        converged,
-        config.seed,
-        time.perf_counter() - start,
-        step_log,
-    )
+    return alternate(graph, features, penalties, init, config, _sweep_step, _repair)

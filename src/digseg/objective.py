@@ -251,17 +251,8 @@ class SolveState:
         Compares lexicographically where plain totals would degenerate to
         inf vs inf; equals (0, total) when both weights are finite.
         """
-        inf_units = 0
-        finite = self.coherence()
-        if math.isinf(self.penalties.lambda_f):
-            inf_units += self.fwd_count
-        elif self.fwd_count:
-            finite += self.penalties.lambda_f * self.fwd_count
-        if math.isinf(self.penalties.lambda_b):
-            inf_units += self.bwd_count
-        elif self.bwd_count:
-            finite += self.penalties.lambda_b * self.bwd_count
-        return inf_units, finite
+        inf_edges, finite = self.penalties.split(self.fwd_count, self.bwd_count)
+        return inf_edges, self.coherence() + finite
 
     def centroids(self) -> Centroids:
         counts = self.counts[1:]

@@ -86,7 +86,7 @@ def test_repair_noop_without_empty_groups():
     f = FeatureMatrix.from_array([[0.0], [1.0]])
     st = SolveState(g, f, Penalties(0, 0), [1, 2], 2)
     before = st.assign.copy()
-    repair_empty_groups(st, f, 0)
+    repair_empty_groups(st)
     assert np.array_equal(st.assign, before)
 
 
@@ -94,7 +94,7 @@ def test_repair_seeds_empty_group_with_outlier():
     g = DirectedGraph.from_edges(4, [])
     f = FeatureMatrix.from_array([[0.0], [0.1], [0.2], [50.0]])
     st = SolveState(g, f, Penalties(0, 0), [1, 1, 1, 1], 2)
-    repair_empty_groups(st, f, 0)
+    repair_empty_groups(st)
     assert list(st.assign) == [1, 1, 1, 2]
 
 
@@ -102,7 +102,7 @@ def test_repair_with_fewer_vertices_than_groups():
     g = DirectedGraph.from_edges(1, [])
     f = FeatureMatrix.from_array([[3.0]])
     st = SolveState(g, f, Penalties(0, 0), [1], 2)
-    repair_empty_groups(st, f, 0)
+    repair_empty_groups(st)
     assert st.empty_groups() == [2]
 
 
@@ -132,6 +132,21 @@ def test_multi_restart_returns_minimum_loss():
         rel_close(best.breakdown.total, s.breakdown.total) and best.seed == s.seed
         for s in singles
     )
+
+
+def test_multi_restart_prefers_fewest_infinitely_weighted_edges():
+    # every restart totals inf here; the pick must still rank them by how
+    # many backward edges they carry, not fall back to the lowest seed
+    rng = np.random.default_rng(0)
+    g = random_digraph(rng, 200, 600)
+    f = random_features(rng, 200, 3)
+    pen = Penalties(0.0, math.inf)
+    cfg = SolveConfig(solver_kind="greedy", restarts=6, seed=0)
+    singles = [run_iterative(g, f, pen, 4, cfg.with_seed(r)) for r in range(6)]
+    best = multi_restart(g, f, pen, 4, cfg)
+    assert best.breakdown.total == math.inf
+    assert best.breakdown.backward_edges == min(s.breakdown.backward_edges for s in singles) == 44
+    assert best.seed == 2
 
 
 def test_multi_restart_deterministic():

@@ -17,8 +17,10 @@ from digseg import (
     fixed_centroid_cost,
     max_flow_min_cut,
     run_mcut,
+    solve_tree_partition,
     solve_two_partition,
     total_cost,
+    update_centroids,
 )
 from digseg.driver import random_init
 from digseg.greedy import run_greedy
@@ -237,6 +239,20 @@ def test_run_mcut_k2_matches_manual_alternation():
             break
         state = SolveState.from_partition(g, f, pen, part)
     assert rel_close(res.breakdown.total, state.total())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_two_partition_agrees_with_tree_dp_at_full_size(seed):
+    # for k = 2 on an arborescence both solvers are exact, so their optima agree
+    inst = inject_noise(gen_stree(n=1500, k=2, seed=seed), 0.5, seed=seed + 100)
+    g, f = inst.graph, inst.features
+    cents = update_centroids(inst.ground_truth, f)
+    for pen in (Penalties(0.0, 1e5), Penalties(0.5, 2.0), Penalties(0.0, math.inf), Penalties(1e7, 1e7)):
+        _, cut_cost = solve_two_partition(g, f, cents.mu[0], cents.mu[1], pen)
+        tree_part, tree_cost = solve_tree_partition(g, f, cents, pen)
+        assert math.isfinite(cut_cost)
+        assert rel_close(cut_cost, tree_cost)
+        assert rel_close(fixed_centroid_cost(g, f, tree_part, cents, pen), tree_cost)
 
 
 def test_run_mcut_fixed_point_on_optimal_init():

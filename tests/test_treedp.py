@@ -9,10 +9,15 @@ from digseg import (
     DirectedGraph,
     FeatureMatrix,
     Penalties,
+    SolveConfig,
     brute_force_fixed_centroids,
     check_arborescence,
     fixed_centroid_cost,
+    random_init,
+    run_iterative,
     solve_tree_partition,
+    total_cost,
+    update_centroids,
 )
 from digseg.treedp import compute_dp_tables
 from conftest import random_arborescence, random_features, rel_close
@@ -137,3 +142,33 @@ def test_deep_path_runs_without_recursion_limit():
     part, cost = solve_tree_partition(g, f, cents, Penalties(0.0, 1e5))
     assert rel_close(cost, 0.0)
     assert part.assign[0] == 1 and part.assign[-1] == 2
+
+
+def test_run_iterative_treedp_matches_manual_alternation():
+    rng = np.random.default_rng(31)
+    g = random_arborescence(rng, 80)
+    f = random_features(rng, 80, 2)
+    pen = Penalties(0.0, 0.0)
+    cfg = SolveConfig(solver_kind="treedp", seed=4, track_steps=True)
+    res = run_iterative(g, f, pen, 3, cfg)
+
+    part = random_init(80, 3, 4)
+    loss = total_cost(g, f, part, pen).total
+    losses = []
+    for it in range(1, cfg.max_iters + 1):
+        cents = update_centroids(part, f)
+        assert cents.defined.all()  # no empty-group repair on this instance
+        new_part, _ = solve_tree_partition(g, f, cents, pen)
+        if np.array_equal(new_part.assign, part.assign):
+            break
+        part = new_part
+        new_loss = total_cost(g, f, part, pen).total
+        losses.append(new_loss)
+        if (loss - new_loss) / max(loss, 1.0) < cfg.rel_tol:
+            break
+        loss = new_loss
+    assert len(losses) >= 2
+    assert np.array_equal(res.partition.assign, part.assign)
+    assert res.iterations == it and res.converged
+    assert len(res.step_losses) == len(losses)
+    assert all(rel_close(a, b) for a, b in zip(res.step_losses, losses))
