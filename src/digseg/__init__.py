@@ -51,7 +51,7 @@ from .objective import (
     update_centroids,
 )
 from .oracle import OracleSizeError, brute_force_dgs, brute_force_fixed_centroids
-from .treedp import ArborescenceError, check_arborescence, solve_tree_partition
+from .treedp import ArborescenceError, TreeLayout, check_arborescence, solve_tree_partition
 
 __version__ = "0.1.0"
 
@@ -71,6 +71,7 @@ __all__ = [
     "SolveResult",
     "SolveState",
     "SyntheticInstance",
+    "TreeLayout",
     "adjusted_rand_index",
     "best_move",
     "brute_force_dgs",

@@ -46,6 +46,17 @@ def _content_lines(source: TextSource):
         yield lineno, line
 
 
+def _csr(n: int, keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, values grouped by key): a stable sort keeps each key's edge order."""
+    order = np.argsort(keys, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
+    grouped = values[order]
+    for arr in (indptr, grouped):
+        arr.setflags(write=False)
+    return indptr, grouped
+
+
 @dataclass(frozen=True, eq=False)
 class DirectedGraph:
     """Immutable directed multigraph.
@@ -53,28 +64,24 @@ class DirectedGraph:
     Parallel edges are kept and each counts separately toward cross-edge
     penalties.  Self-loops are rejected: under an ordered partition a
     self-loop is neither forward nor backward, so such input is ambiguous.
+    Neighbors are read from the compressed rows `out_csr` / `in_csr`, which
+    list each vertex's neighbors in edge order.
     """
 
     n: int
     edges: list[tuple[int, int]]
-    out_adj: list[list[int]]
-    in_adj: list[list[int]]
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "DirectedGraph":
         if n < 0:
             raise EdgeListError(f"vertex count must be non-negative, got {n}")
         edge_list = [(int(u), int(v)) for u, v in edges]
-        out_adj: list[list[int]] = [[] for _ in range(n)]
-        in_adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edge_list:
             if not (0 <= u < n and 0 <= v < n):
                 raise EdgeListError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise EdgeListError(f"self-loop at vertex {u} is not allowed")
-            out_adj[u].append(v)
-            in_adj[v].append(u)
-        return cls(n=n, edges=edge_list, out_adj=out_adj, in_adj=in_adj)
+        return cls(n=n, edges=edge_list)
 
     @property
     def m(self) -> int:
@@ -92,11 +99,31 @@ class DirectedGraph:
         arr.setflags(write=False)
         return arr
 
-    def out_degree(self, v: int) -> int:
-        return len(self.out_adj[v])
+    @cached_property
+    def out_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, heads): the out-neighbors of v are heads[indptr[v]:indptr[v + 1]]."""
+        return _csr(self.n, self.edge_src, self.edge_dst)
 
-    def in_degree(self, v: int) -> int:
-        return len(self.in_adj[v])
+    @cached_property
+    def in_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, tails): the in-neighbors of v are tails[indptr[v]:indptr[v + 1]]."""
+        return _csr(self.n, self.edge_dst, self.edge_src)
+
+    @cached_property
+    def out_adj(self) -> list[list[int]]:
+        """Out-neighbor lists in edge order, built from the edge list on first use."""
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+        return adj
+
+    @cached_property
+    def in_adj(self) -> list[list[int]]:
+        """In-neighbor lists in edge order, built from the edge list on first use."""
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[v].append(u)
+        return adj
 
 
 def load_graph(source: TextSource) -> DirectedGraph:

@@ -23,6 +23,7 @@ separately.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
@@ -69,10 +70,15 @@ def repair_empty_groups(state: SolveState) -> SolveState:
         state.apply_move(v, empties[0])
 
 
-def _tree_step(state: SolveState, it: int, step_log: Optional[list[float]]) -> int:
+def _tree_step(
+    layout: treedp_mod.TreeLayout,
+    state: SolveState,
+    it: int,
+    step_log: Optional[list[float]],
+) -> int:
     """Exact tree partition against the current centers, written into `state`."""
     new_part, _ = treedp_mod.solve_tree_partition(
-        state.graph, state.features, state.centroids(), state.penalties
+        state.graph, state.features, state.centroids(), state.penalties, layout=layout
     )
     changed = new_part.assign != state.assign
     changes = int(changed.sum())
@@ -126,9 +132,8 @@ def _run_phase(
     config: SolveConfig,
 ) -> SolveResult:
     if config.solver_kind == "treedp":
-        return alternate(
-            graph, features, penalties, init, config, _tree_step, repair_empty_groups
-        )
+        step = functools.partial(_tree_step, treedp_mod.TreeLayout.from_graph(graph))
+        return alternate(graph, features, penalties, init, config, step, repair_empty_groups)
     if config.solver_kind == "mcut":
         return mincut_mod.run_mcut(
             graph, features, penalties, k, init, config, _repair=repair_empty_groups

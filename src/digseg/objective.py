@@ -10,10 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
 from .core import DirectedGraph, FeatureMatrix, OrderedPartition, Penalties
+
+
+def _row_views(indptr: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
+    """values[indptr[v]:indptr[v + 1]] for every v, as views (np.split is slower)."""
+    return [values[a:b] for a, b in pairwise(indptr.tolist())]
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,8 +193,9 @@ class SolveState:
             raise ValueError(f"group labels must lie in 1..{self.k}")
         self.values = features.values
         self.point_sqnorm = (self.values * self.values).sum(axis=1)
-        self.out_nbrs = [np.asarray(a, dtype=np.int64) for a in graph.out_adj]
-        self.in_nbrs = [np.asarray(a, dtype=np.int64) for a in graph.in_adj]
+        # Per-vertex views into the graph's neighbor rows, for O(deg v) moves.
+        self.out_nbrs = _row_views(*graph.out_csr)
+        self.in_nbrs = _row_views(*graph.in_csr)
         self.rebuild()
 
     @classmethod

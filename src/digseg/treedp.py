@@ -4,14 +4,22 @@ For each vertex v and group i, `c[v, i]` is the optimal cost of partitioning
 the subtree rooted at v with v placed in group i.  A child w of v either
 shares v's group (cost c[w, i]), sits in a later group (forward edge,
 lambda_f + u[w, i]) or in an earlier one (backward edge, lambda_b + l[w, i]),
-where l and u are prefix/suffix minima of c over groups.  The recurrence is
-evaluated bottom-up with an explicit stack, so arbitrarily deep paths are fine.
+where l and u are prefix/suffix minima of c over groups.
+
+The tables are filled one depth level at a time, deepest first, over whole
+arrays: a level's prefix and suffix minima come from `np.minimum.accumulate`,
+and its children's branch optima are pushed into their parents with
+`np.add.at` in edge order, so every sum is added in the same order as a
+vertex-by-vertex fill.  The backtrack is one gather per level, roots first.
+Python-level work is therefore proportional to the forest's depth, and an
+arbitrarily deep path needs no recursion.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -27,41 +35,66 @@ def check_arborescence(graph: DirectedGraph) -> list[int]:
     """Return the root vertices if the graph is a forest of arborescences.
 
     Requires in-degree <= 1 everywhere and no cycles; the error names an
-    offending vertex.
+    offending vertex: the lowest one with two parents, or a vertex on a
+    directed cycle.
     """
-    for v in range(graph.n):
-        if graph.in_degree(v) > 1:
-            raise ArborescenceError(
-                f"vertex {v} has in-degree {graph.in_degree(v)}; trees require at most 1"
-            )
-    roots = [v for v in range(graph.n) if graph.in_degree(v) == 0]
-    seen = np.zeros(graph.n, dtype=bool)
-    for r in roots:
-        stack = [r]
-        seen[r] = True
-        while stack:
-            v = stack.pop()
-            for w in graph.out_adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-    if graph.n and not seen.all():
-        v = int(np.flatnonzero(~seen)[0])
+    n = graph.n
+    in_degree = np.bincount(graph.edge_dst, minlength=n)
+    crowded = np.flatnonzero(in_degree > 1)
+    if crowded.size:
+        v = int(crowded[0])
+        raise ArborescenceError(
+            f"vertex {v} has in-degree {in_degree[v]}; trees require at most 1"
+        )
+    parent = np.full(n, -1, dtype=np.int64)
+    parent[graph.edge_dst] = graph.edge_src
+    # Pointer doubling: after ceil(log2 n) rounds every vertex of a tree points
+    # at its root, and every other vertex at a vertex that still has a parent.
+    top = np.where(parent < 0, np.arange(n), parent)
+    for _ in range(max(n - 1, 1).bit_length()):
+        top = top[top]
+    unreached = np.flatnonzero(parent[top] >= 0)
+    if unreached.size:
+        # Every vertex reached by walking up from an unreached one is unreached,
+        # so the walk ends on the cycle above it.
+        v, seen = int(unreached[0]), set()
+        while v not in seen:
+            seen.add(v)
+            v = int(parent[v])
         raise ArborescenceError(f"vertex {v} lies on a directed cycle")
-    return roots
+    return np.flatnonzero(in_degree == 0).tolist()
 
 
-def _processing_order(graph: DirectedGraph, roots: list[int]) -> list[int]:
-    """Vertices ordered so every child precedes its parent (reversed preorder)."""
-    pre: list[int] = []
-    for r in roots:
-        stack = [r]
-        while stack:
-            v = stack.pop()
-            pre.append(v)
-            stack.extend(graph.out_adj[v])
-    pre.reverse()
-    return pre
+@dataclass(frozen=True, eq=False)
+class TreeLayout:
+    """Breadth-first levels of an arborescence forest.
+
+    `levels[0]` holds the roots in ascending order and `levels[L + 1]` the
+    children of `levels[L]`, parent by parent, each parent's children in edge
+    order.  `parent[v]` is v's parent, -1 at roots.  The layout depends only
+    on the graph, so one layout serves every solve on it.
+    """
+
+    levels: tuple[np.ndarray, ...]
+    parent: np.ndarray
+
+    @classmethod
+    def from_graph(cls, graph: DirectedGraph) -> "TreeLayout":
+        """Check that `graph` is an arborescence forest and lay it out."""
+        roots = np.asarray(check_arborescence(graph), dtype=np.int64)
+        indptr, heads = graph.out_csr
+        parent = np.full(graph.n, -1, dtype=np.int64)
+        parent[graph.edge_dst] = graph.edge_src
+        levels = [roots]
+        while True:
+            first, last = indptr[levels[-1]], indptr[levels[-1] + 1]
+            sizes = last - first
+            total = int(sizes.sum())
+            if total == 0:
+                break
+            # Offsets into `heads` of every child of the level, parent by parent.
+            levels.append(heads[np.repeat(last - np.cumsum(sizes), sizes) + np.arange(total)])
+        return cls(levels=tuple(levels), parent=parent)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +103,8 @@ class DpTables:
 
     `ell[v, i]` / `u[v, i]` are the cheapest costs of placing v strictly
     below / above group i+1, with `ell_arg` / `u_arg` holding the smallest
-    0-based group attaining them (-1 where the range is empty).
+    0-based group attaining them (-1 where the range is empty, and in
+    `ell_arg` also where every group of the range costs inf).
     """
 
     c: np.ndarray
@@ -86,40 +120,41 @@ def compute_dp_tables(
     features: FeatureMatrix,
     centroids: Centroids,
     penalties: Penalties,
+    layout: Optional[TreeLayout] = None,
 ) -> DpTables:
-    """Fill the dynamic-programming tables for an arborescence forest."""
-    roots = check_arborescence(graph)
-    n, k = graph.n, centroids.k
-    lam_f, lam_b = penalties.lambda_f, penalties.lambda_b
-    point_costs = vertex_group_costs(features, centroids)
-    c = np.empty((n, k), dtype=np.float64)
-    ell = np.empty((n, k), dtype=np.float64)
-    u = np.empty((n, k), dtype=np.float64)
-    ell_arg = np.full((n, k), -1, dtype=np.int64)
-    u_arg = np.full((n, k), -1, dtype=np.int64)
+    """Fill the dynamic-programming tables for an arborescence forest.
 
-    for v in _processing_order(graph, roots):
-        row = point_costs[v].copy()
-        for w in graph.out_adj[v]:
-            row += np.minimum(c[w], np.minimum(lam_f + u[w], lam_b + ell[w]))
-        c[v] = row
-        best = math.inf
-        arg = -1
-        for i in range(k):
-            ell[v, i] = best
-            ell_arg[v, i] = arg
-            if row[i] < best:  # strict: ties keep the lowest group
-                best = row[i]
-                arg = i
-        best = math.inf
-        arg = -1
-        for i in range(k - 1, -1, -1):
-            u[v, i] = best
-            u_arg[v, i] = arg
-            if row[i] <= best:  # non-strict: scanning right-to-left, ties keep the lowest group
-                best = row[i]
-                arg = i
-    return DpTables(c=c, ell=ell, u=u, ell_arg=ell_arg, u_arg=u_arg, roots=roots)
+    `layout` must be `TreeLayout.from_graph(graph)`; it is built when omitted.
+    """
+    if layout is None:
+        layout = TreeLayout.from_graph(graph)
+    k = centroids.k
+    lam_f, lam_b = penalties.lambda_f, penalties.lambda_b
+    c = vertex_group_costs(features, centroids)
+    ell = np.empty_like(c)
+    u = np.empty_like(c)
+    ell[:, 0] = math.inf
+    u[:, -1] = math.inf
+    for depth in range(len(layout.levels) - 1, -1, -1):
+        vs = layout.levels[depth]
+        rows = c[vs]  # final: every child of the level has been pushed
+        ell[vs, 1:] = np.minimum.accumulate(rows[:, :-1], axis=1)
+        u[vs, :-1] = np.minimum.accumulate(rows[:, :0:-1], axis=1)[:, ::-1]
+        if depth:
+            branch = np.minimum(rows, np.minimum(lam_f + u[vs], lam_b + ell[vs]))
+            np.add.at(c, layout.parent[vs], branch)
+
+    # A group is the running argmin where it beats the running minimum:
+    # strictly from the left, so ties keep the lowest group, and non-strictly
+    # from the right, which reaches the same lowest group.
+    cols = np.arange(k)
+    ell_arg = np.full(c.shape, -1, dtype=np.int64)
+    u_arg = np.full(c.shape, -1, dtype=np.int64)
+    ell_arg[:, 1:] = np.maximum.accumulate(np.where(c < ell, cols, -1), axis=1)[:, :-1]
+    u_arg[:, :-1] = np.minimum.accumulate(np.where(c <= u, cols, k)[:, ::-1], axis=1)[:, -2::-1]
+    return DpTables(
+        c=c, ell=ell, u=u, ell_arg=ell_arg, u_arg=u_arg, roots=layout.levels[0].tolist()
+    )
 
 
 def solve_tree_partition(
@@ -127,6 +162,7 @@ def solve_tree_partition(
     features: FeatureMatrix,
     centroids: Centroids,
     penalties: Penalties,
+    layout: Optional[TreeLayout] = None,
 ) -> tuple[OrderedPartition, float]:
     """Exact minimizer of the fixed-center objective on an arborescence forest.
 
@@ -134,29 +170,29 @@ def solve_tree_partition(
     cost).  Tie-breaking is deterministic: equal branch cases prefer keeping
     the parent's group over a forward edge over a backward edge, and equal
     root costs prefer the lowest group.  The forest optimum is the sum of the
-    per-tree optima.
+    per-tree optima.  `layout` must be `TreeLayout.from_graph(graph)`; it is
+    built when omitted, and passing it saves the check and the breadth-first
+    pass when the same forest is solved repeatedly.
     """
-    tables = compute_dp_tables(graph, features, centroids, penalties)
-    k = centroids.k
-    lam_f, lam_b = penalties.lambda_f, penalties.lambda_b
-    assign = np.ones(graph.n, dtype=np.int64)
+    if layout is None:
+        layout = TreeLayout.from_graph(graph)
+    tables = compute_dp_tables(graph, features, centroids, penalties, layout)
+    c = tables.c
+    fwd = penalties.lambda_f + tables.u
+    bwd = penalties.lambda_b + tables.ell
+    # choice[w, i]: w's group when its parent sits in group i.
+    choice = np.where(
+        (c <= fwd) & (c <= bwd),
+        np.arange(centroids.k),
+        np.where(fwd <= bwd, tables.u_arg, tables.ell_arg),
+    )
+    col = np.empty(graph.n, dtype=np.int64)
+    roots = layout.levels[0]
+    col[roots] = np.argmin(c[roots], axis=1)
     total = 0.0
-    for r in tables.roots:
-        root_col = int(np.argmin(tables.c[r]))
-        total += float(tables.c[r, root_col])
-        stack = [(r, root_col)]
-        while stack:
-            v, col = stack.pop()
-            assign[v] = col + 1
-            for w in graph.out_adj[v]:
-                same = tables.c[w, col]
-                fwd = lam_f + tables.u[w, col]
-                bwd = lam_b + tables.ell[w, col]
-                if same <= fwd and same <= bwd:
-                    child_col = col
-                elif fwd <= bwd:
-                    child_col = int(tables.u_arg[w, col])
-                else:
-                    child_col = int(tables.ell_arg[w, col])
-                stack.append((w, child_col))
-    return OrderedPartition.from_labels(k, assign), total
+    # Added root by root: np.sum and sum() may round differently.
+    for cost in c[roots, col[roots]].tolist():
+        total += cost
+    for vs in layout.levels[1:]:
+        col[vs] = choice[vs, col[layout.parent[vs]]]
+    return OrderedPartition.from_labels(centroids.k, col + 1), total

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digseg import (
     DirectedGraph,
@@ -11,6 +13,7 @@ from digseg import (
     FeatureMatrix,
     OrderedPartition,
     Penalties,
+    SolveState,
     graph_to_edge_list,
     load_features,
     load_graph,
@@ -90,6 +93,30 @@ def test_adjacency_mirrors_edge_multiset():
         for u, v in g.edges:
             assert g.out_adj[u].count(v) == [e for e in g.edges].count((u, v))
             assert g.in_adj[v].count(u) == g.out_adj[u].count(v)
+
+
+@st.composite
+def multigraphs(draw):
+    n = draw(st.integers(2, 8))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, max_size=20))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=5)) if edges else []  # parallel edges
+    return DirectedGraph.from_edges(n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs())
+def test_csr_rows_and_state_views_equal_adjacency_lists(g):
+    state = SolveState(g, FeatureMatrix.from_array(np.zeros((g.n, 1))), Penalties(1, 1), [1] * g.n, 1)
+    for (indptr, nbrs), views, adj in (
+        (g.out_csr, state.out_nbrs, g.out_adj),
+        (g.in_csr, state.in_nbrs, g.in_adj),
+    ):
+        assert indptr[0] == 0 and indptr[-1] == g.m and len(views) == g.n
+        for v in range(g.n):
+            assert nbrs[indptr[v]:indptr[v + 1]].tolist() == adj[v]
+            assert views[v].tolist() == adj[v]
+            assert np.shares_memory(views[v], nbrs) == bool(adj[v])  # a view, not a copy
 
 
 def test_load_features_echo():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digseg import (
     ArborescenceError,
@@ -19,8 +21,9 @@ from digseg import (
     total_cost,
     update_centroids,
 )
-from digseg.treedp import compute_dp_tables
+from digseg.treedp import TreeLayout, compute_dp_tables
 from conftest import random_arborescence, random_features, rel_close
+from treedp_reference import reference_dp_tables, reference_solve
 
 
 def test_check_arborescence_examples():
@@ -30,6 +33,17 @@ def test_check_arborescence_examples():
         check_arborescence(DirectedGraph.from_edges(3, [(0, 1), (2, 1)]))
     with pytest.raises(ArborescenceError, match="cycle"):
         check_arborescence(DirectedGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)]))
+
+
+def test_cycle_error_names_a_vertex_on_the_cycle():
+    # 1 hangs below the 2 <-> 3 cycle; 0 is an isolated root.
+    g = DirectedGraph.from_edges(4, [(2, 3), (3, 2), (3, 1)])
+    with pytest.raises(ArborescenceError, match=r"vertex [23] lies on a directed cycle"):
+        check_arborescence(g)
+    # A long tail below a 3-cycle: the walk climbs the tail to the cycle.
+    tail = [(v + 1, v) for v in range(10)] + [(11, 10), (12, 11), (10, 12)]
+    with pytest.raises(ArborescenceError, match=r"vertex 1[012] lies on a directed cycle"):
+        check_arborescence(DirectedGraph.from_edges(13, tail))
 
 
 def test_three_vertex_worked_example():
@@ -172,3 +186,75 @@ def test_run_iterative_treedp_matches_manual_alternation():
     assert res.iterations == it and res.converged
     assert len(res.step_losses) == len(losses)
     assert all(rel_close(a, b) for a, b in zip(res.step_losses, losses))
+
+
+WEIGHTS = [0.0, 0.1, 1e5, math.inf]
+
+
+@st.composite
+def forest_problems(draw):
+    """A shuffled forest with tie-prone features and centers, some undefined."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 2))
+    edges = []
+    for v in range(1, n):  # parent: none (a new root), the previous vertex, or any earlier one
+        p = draw(st.one_of(st.none(), st.just(v - 1), st.integers(0, v - 1)))
+        if p is not None:
+            edges.append((p, v))
+    label = draw(st.permutations(range(n)))
+    edges = draw(st.permutations([(label[p], label[v]) for p, v in edges]))
+    scale = draw(st.sampled_from([1.0, 0.1, 0.37]))
+    ints = st.integers(-2, 2)
+    feats = np.array(draw(st.lists(st.lists(ints, min_size=d, max_size=d), min_size=n, max_size=n)))
+    mu = np.array(draw(st.lists(st.lists(ints, min_size=d, max_size=d), min_size=k, max_size=k)))
+    defined = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    mu = np.where(defined[:, None], mu * scale, 0.0)
+    pen = Penalties(draw(st.sampled_from(WEIGHTS)), draw(st.sampled_from(WEIGHTS)))
+    graph = DirectedGraph.from_edges(n, edges)
+    return graph, FeatureMatrix.from_array(feats * scale), Centroids(mu=mu, defined=defined), pen
+
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_matches_reference(g, f, cents, pen):
+    ref = reference_dp_tables(g, f, cents, pen)
+    got = compute_dp_tables(g, f, cents, pen)
+    for name in ("c", "ell", "u", "ell_arg", "u_arg"):
+        assert_same_bits(getattr(got, name), getattr(ref, name))
+    assert got.roots == ref.roots
+    ref_labels, ref_cost = reference_solve(g, f, cents, pen)
+    part, cost = solve_tree_partition(g, f, cents, pen, layout=TreeLayout.from_graph(g))
+    assert_same_bits(part.assign, ref_labels)
+    assert_same_bits(np.float64(cost), np.float64(ref_cost))
+
+
+@settings(max_examples=300, deadline=None)
+@given(forest_problems())
+def test_level_fill_matches_vertex_by_vertex_reference(problem):
+    assert_matches_reference(*problem)
+
+
+@pytest.mark.parametrize("lam_f, lam_b", [(0.0, 1e5), (0.1, 0.1), (0.0, math.inf), (1.0, 0.0)])
+def test_level_fill_matches_reference_on_a_large_forest(lam_f, lam_b):
+    rng = np.random.default_rng(7)
+    trees = [random_arborescence(rng, size) for size in (700, 500, 1)]
+    edges, offset = [], 0
+    for t, size in zip(trees, (700, 500, 1)):
+        edges += [(a + offset, b + offset) for a, b in t.edges]
+        offset += size
+    order = rng.permutation(len(edges))
+    g = DirectedGraph.from_edges(offset, [edges[i] for i in order])
+    f = random_features(rng, offset, 3)
+    cents = Centroids.from_rows(rng.normal(0, 1, (5, 3)))
+    assert_matches_reference(g, f, cents, Penalties(lam_f, lam_b))
+
+
+def test_layout_levels_follow_edge_order():
+    g = DirectedGraph.from_edges(6, [(4, 1), (0, 5), (4, 3), (0, 4), (3, 2)])
+    layout = TreeLayout.from_graph(g)
+    assert [lv.tolist() for lv in layout.levels] == [[0], [5, 4], [1, 3], [2]]
+    assert layout.parent.tolist() == [-1, 4, 3, 4, 0, 0]
