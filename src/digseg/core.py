@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Union
+from typing import IO, Union
 
 import numpy as np
 
@@ -59,45 +59,59 @@ def _csr(n: int, keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.n
 
 @dataclass(frozen=True, eq=False)
 class DirectedGraph:
-    """Immutable directed multigraph.
+    """Immutable directed multigraph over vertices 0..n-1.
 
-    Parallel edges are kept and each counts separately toward cross-edge
-    penalties.  Self-loops are rejected: under an ordered partition a
-    self-loop is neither forward nor backward, so such input is ambiguous.
-    Neighbors are read from the compressed rows `out_csr` / `in_csr`, which
-    list each vertex's neighbors in edge order.
+    Edge e runs from `edge_src[e]` to `edge_dst[e]`; both are read-only
+    int64 arrays in edge order.  Parallel edges are kept and each counts
+    separately toward cross-edge penalties.  Self-loops are rejected: under
+    an ordered partition a self-loop is neither forward nor backward, so
+    such input is ambiguous.  Neighbors are read from the compressed rows
+    `out_csr` / `in_csr`, which list each vertex's neighbors in edge order.
     """
 
     n: int
-    edges: list[tuple[int, int]]
+    edge_src: np.ndarray
+    edge_dst: np.ndarray
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "DirectedGraph":
+    def from_edges(cls, n: int, edges) -> "DirectedGraph":
+        """Graph from (u, v) pairs or an (m, 2) integer array, in edge order.
+
+        The error for invalid input names the first bad edge.
+        """
         if n < 0:
             raise EdgeListError(f"vertex count must be non-negative, got {n}")
-        edge_list = [(int(u), int(v)) for u, v in edges]
-        for u, v in edge_list:
-            if not (0 <= u < n and 0 <= v < n):
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        try:
+            pairs = np.array(edges, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise EdgeListError(f"edges must be (u, v) pairs of integers: {exc}") from None
+        if pairs.shape == (0,):
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise EdgeListError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
+        src, dst = pairs.T.copy()
+        out_of_range = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+        bad = out_of_range | (src == dst)
+        if bad.any():
+            e = int(bad.argmax())
+            u, v = int(src[e]), int(dst[e])
+            if out_of_range[e]:
                 raise EdgeListError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise EdgeListError(f"self-loop at vertex {u} is not allowed")
-        return cls(n=n, edges=edge_list)
+            raise EdgeListError(f"self-loop at vertex {u} is not allowed")
+        for arr in (src, dst):
+            arr.setflags(write=False)
+        return cls(n=n, edge_src=src, edge_dst=dst)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return self.edge_src.size
 
-    @cached_property
-    def edge_src(self) -> np.ndarray:
-        arr = np.fromiter((u for u, _ in self.edges), dtype=np.int64, count=self.m)
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def edge_dst(self) -> np.ndarray:
-        arr = np.fromiter((v for _, v in self.edges), dtype=np.int64, count=self.m)
-        arr.setflags(write=False)
-        return arr
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        """The (u, v) pairs in edge order, built on each access."""
+        return list(zip(self.edge_src.tolist(), self.edge_dst.tolist()))
 
     @cached_property
     def out_csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -109,22 +123,6 @@ class DirectedGraph:
         """(indptr, tails): the in-neighbors of v are tails[indptr[v]:indptr[v + 1]]."""
         return _csr(self.n, self.edge_dst, self.edge_src)
 
-    @cached_property
-    def out_adj(self) -> list[list[int]]:
-        """Out-neighbor lists in edge order, built from the edge list on first use."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-        return adj
-
-    @cached_property
-    def in_adj(self) -> list[list[int]]:
-        """In-neighbor lists in edge order, built from the edge list on first use."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[v].append(u)
-        return adj
-
 
 def load_graph(source: TextSource) -> DirectedGraph:
     """Parse the edge-list text format.
@@ -134,7 +132,7 @@ def load_graph(source: TextSource) -> DirectedGraph:
     is one plus the largest id seen.  Lines starting with '#' are ignored.
     """
     declared_n = None
-    edges: list[tuple[int, int]] = []
+    ids: list[int] = []  # src, dst of each edge in turn
     max_id = -1
     saw_content = False
     for lineno, line in _content_lines(source):
@@ -163,12 +161,12 @@ def load_graph(source: TextSource) -> DirectedGraph:
             )
         if u == v:
             raise EdgeListError(f"line {lineno}: self-loop at vertex {u} is not allowed")
-        edges.append((u, v))
+        ids += (u, v)
         max_id = max(max_id, u, v)
     if not saw_content:
         raise EdgeListError("empty edge-list input")
     n = declared_n if declared_n is not None else max_id + 1
-    return DirectedGraph.from_edges(n, edges)
+    return DirectedGraph.from_edges(n, np.array(ids, dtype=np.int64).reshape(-1, 2))
 
 
 def graph_to_edge_list(graph: DirectedGraph) -> str:

@@ -46,17 +46,17 @@ def _gen(n: int, d: int, k: int, sigma2: float, edge_prob: float, seed: int) -> 
     # pair edges are drawn
     tree_ss, pair_ss, feat_ss = np.random.SeedSequence(norm_seed(seed)).spawn(3)
 
-    tree_rng = np.random.default_rng(tree_ss)
-    edges: list[tuple[int, int]] = []
+    # tree edges (parent, v) for v = 1..n-1, then the pair edges in row-major order
+    src = dst = np.zeros(0, dtype=np.int64)
     if n > 1:
-        parents = tree_rng.integers(0, np.arange(1, n))
-        edges = [(int(p), v) for v, p in enumerate(parents, start=1)]
+        src = np.random.default_rng(tree_ss).integers(0, np.arange(1, n))
+        dst = np.arange(1, n)
     if edge_prob > 0.0 and n > 1:
         pair_rng = np.random.default_rng(pair_ss)
         iu, ju = np.triu_indices(n, k=1)
         hits = pair_rng.random(iu.size) < edge_prob
-        edges.extend((int(u), int(v)) for u, v in zip(iu[hits], ju[hits]))
-    graph = DirectedGraph.from_edges(n, edges)
+        src, dst = np.concatenate((src, iu[hits])), np.concatenate((dst, ju[hits]))
+    graph = DirectedGraph.from_edges(n, np.column_stack((src, dst)))
 
     feat_rng = np.random.default_rng(feat_ss)
     centroids = feat_rng.uniform(0.0, 1.0, size=(k, d))

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DirectedGraph, FeatureMatrix, OrderedPartition, Penalties
+from .core import DirectedGraph, FeatureMatrix, OrderedPartition, Penalties, _csr
 from .config import COMMIT_TOL, SolveConfig, SolveResult, alternate
 from .objective import Centroids, SolveState, fixed_centroid_cost, vertex_group_costs
 
@@ -24,25 +25,16 @@ GRID_SCALE = 2.0**40
 _EPS = 0.5 / GRID_SCALE  # half a grid step: residuals below this are dust
 
 
-def _snap(x: float) -> float:
-    """Round a finite capacity to the 2^-40 binary grid.
-
-    Floats at or above 2^12 already sit on the grid (their ulp is coarser),
-    so only small values need explicit rounding.
-    """
-    if x >= 4096.0:
-        return x
-    return round(x * GRID_SCALE) / GRID_SCALE
-
-
 @dataclass(frozen=True, eq=False)
 class FlowNetwork:
     """Directed flow network with designated source and sink.
 
-    Arcs are parallel arrays (tails, heads, caps); capacities are finite,
-    non-negative, and grid-snapped, with infinite inputs replaced by the
-    sentinel.  `node_labels` maps internal vertex nodes back to graph
-    vertex ids.
+    Arc a runs from `tails[a]` to `heads[a]` with capacity `caps[a]`: parallel
+    int64 and float64 arrays in arc order.  Capacities are finite and
+    non-negative.  `from_arcs` rounds finite inputs below 2^12 to the 2^-40
+    grid (larger floats already sit on it) and replaces infinite ones by the
+    sentinel, one plus the finite capacities summed in arc order.
+    `node_labels` maps internal vertex nodes back to graph vertex ids.
     """
 
     num_nodes: int
@@ -60,28 +52,30 @@ class FlowNetwork:
         num_nodes: int,
         source: int,
         sink: int,
-        arcs: list[tuple[int, int, float]],
+        tails,
+        heads,
+        caps,
         node_labels=None,
     ) -> "FlowNetwork":
-        caps_raw = [c for _, _, c in arcs]
-        snapped = [_snap(c) if math.isfinite(c) else math.inf for c in caps_raw]
-        sentinel = 1.0 + sum(c for c in snapped if math.isfinite(c))
-        caps = np.array([sentinel if math.isinf(c) else c for c in snapped], dtype=np.float64)
-        tails = np.array([u for u, _, _ in arcs], dtype=np.int64)
-        heads = np.array([v for _, v, _ in arcs], dtype=np.int64)
+        tails = np.array(tails, dtype=np.int64)
+        heads = np.array(heads, dtype=np.int64)
+        caps = np.array(caps, dtype=np.float64)
+        if not (tails.ndim == 1 and tails.shape == heads.shape == caps.shape):
+            raise ValueError("tails, heads and caps must be 1-dimensional and of equal length")
+        for ends in (tails, heads):
+            if ends.size and (ends.min() < 0 or ends.max() >= num_nodes):
+                raise ValueError(f"arc endpoints must lie in 0..{num_nodes - 1}")
+        if np.isnan(caps).any():
+            raise ValueError("arc capacities must not be NaN")
+        small = caps < 4096.0
+        caps[small] = np.round(caps[small] * GRID_SCALE) / GRID_SCALE
         if caps.size and caps.min() < 0:
             raise ValueError("arc capacities must be non-negative")
+        infinite = np.isinf(caps)
+        sentinel = 1.0 + sum(caps[~infinite].tolist())
+        caps[infinite] = sentinel
         labels = None if node_labels is None else np.asarray(node_labels, dtype=np.int64)
-        return cls(
-            num_nodes=num_nodes,
-            source=source,
-            sink=sink,
-            tails=tails,
-            heads=heads,
-            caps=caps,
-            sentinel=sentinel,
-            node_labels=labels,
-        )
+        return cls(num_nodes, source, sink, tails, heads, caps, sentinel, labels)
 
     @property
     def num_arcs(self) -> int:
@@ -105,18 +99,16 @@ def max_flow_min_cut(net: FlowNetwork) -> tuple[float, set[int]]:
     re-summed from the crossing arc capacities.
     """
     n, s, t = net.num_nodes, net.source, net.sink
-    to: list[int] = []
-    res: list[float] = []
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v, c in zip(net.tails, net.heads, net.caps):
-        if c <= 0.0:
-            continue  # cannot carry flow; contributes its 0 weight regardless of side
-        adj[int(u)].append(len(to))
-        to.append(int(v))
-        res.append(float(c))
-        adj[int(v)].append(len(to))
-        to.append(int(u))
-        res.append(0.0)
+    # Residual arc 2e runs along the e-th positive-capacity arc, 2e + 1 against
+    # it (so a ^ 1 is a's partner); a zero arc cannot carry flow and weighs 0
+    # on either side.  Each node lists its residual arcs in increasing order.
+    carry = net.caps > 0.0
+    tails, heads = net.tails[carry], net.heads[carry]
+    to = _interleave(heads, tails).tolist()
+    res = _interleave(net.caps[carry], 0.0).tolist()
+    indptr, arc_ids = _csr(n, _interleave(tails, heads), np.arange(2 * tails.size))
+    ids = arc_ids.tolist()
+    adj = [ids[a:b] for a, b in pairwise(indptr.tolist())]
 
     level = [-1] * n
 
@@ -185,6 +177,35 @@ def max_flow_min_cut(net: FlowNetwork) -> tuple[float, set[int]]:
     return net.cut_weight(side), side
 
 
+def _interleave(a, b) -> np.ndarray:
+    """a[0], b[0], a[1], b[1], ...; a scalar stands for a constant array."""
+    return np.stack(np.broadcast_arrays(a, b), axis=1).ravel()
+
+
+def _cut_network(
+    to_sink_side,
+    to_source_side,
+    edge_tails: np.ndarray,
+    edge_heads: np.ndarray,
+    penalties: Penalties,
+    node_labels: np.ndarray,
+) -> FlowNetwork:
+    """Cut network over local nodes 0..len(node_labels)-1 with s, t next.
+
+    Arcs in the order max-flow tie-breaking depends on: (s, v) at v's
+    sink-side price and (v, t) at its source-side price for each node v,
+    then (u, w) at lambda_f and (w, u) at lambda_b for each local edge.
+    """
+    nloc = node_labels.size
+    s, t = nloc, nloc + 1
+    nodes = np.arange(nloc)
+    tails = np.concatenate((_interleave(s, nodes), _interleave(edge_tails, edge_heads)))
+    heads = np.concatenate((_interleave(nodes, t), _interleave(edge_heads, edge_tails)))
+    edge_caps = _interleave(np.full(edge_tails.size, penalties.lambda_f), penalties.lambda_b)
+    caps = np.concatenate((_interleave(to_sink_side, to_source_side), edge_caps))
+    return FlowNetwork.from_arcs(nloc + 2, s, t, tails, heads, caps, node_labels=node_labels)
+
+
 def build_cut_graph_k2(
     graph: DirectedGraph,
     features: FeatureMatrix,
@@ -199,18 +220,11 @@ def build_cut_graph_k2(
     of group 1; each graph edge (v, w) adds (v, w) at lambda_f and (w, v) at
     lambda_b.
     """
-    n = graph.n
     costs = vertex_group_costs(features, Centroids.from_rows([mu1, mu2]))
-    to_g1, to_g2 = costs[:, 0], costs[:, 1]
-    s, t = n, n + 1
-    arcs: list[tuple[int, int, float]] = []
-    for v in range(n):
-        arcs.append((s, v, float(to_g2[v])))
-        arcs.append((v, t, float(to_g1[v])))
-    for u, v in graph.edges:
-        arcs.append((u, v, penalties.lambda_f))
-        arcs.append((v, u, penalties.lambda_b))
-    return FlowNetwork.from_arcs(n + 2, s, t, arcs, node_labels=np.arange(n, dtype=np.int64))
+    return _cut_network(
+        costs[:, 1], costs[:, 0], graph.edge_src, graph.edge_dst, penalties,
+        np.arange(graph.n, dtype=np.int64),
+    )
 
 
 def solve_two_partition(
@@ -246,49 +260,39 @@ def build_cut_graph_pair(
     """Cut network that redistributes the members of groups i and j (i < j).
 
     Only those vertices appear as internal nodes (`node_labels` maps them
-    back).  Terminal weights gain corrections for edges to the groups
-    strictly between i and j: such an edge is backward on one side of the
-    choice and forward on the other.  Edges to groups outside (i, j) cost the
-    same either way and are omitted.
+    back), and both groups need a defined center.  Terminal weights gain
+    corrections for edges to the groups strictly between i and j: such an
+    edge is backward on one side of the choice and forward on the other.
+    Edges to groups outside (i, j) cost the same either way and are omitted.
     """
     if not (1 <= i < j <= state.k):
         raise ValueError(f"expected 1 <= i < j <= {state.k}, got ({i}, {j})")
     assign = state.assign
-    members = np.flatnonzero((assign == i) | (assign == j))
-    nloc = members.size
-    s, t = nloc, nloc + 1
-    if nloc == 0:
-        return FlowNetwork.from_arcs(2, s, t, [], node_labels=members)
+    in_pair = (assign == i) | (assign == j)
+    between = (assign > i) & (assign < j)
+    members = np.flatnonzero(in_pair)
     cents = state.centroids()
     pair_cents = Centroids.from_rows([cents.mu_for(i), cents.mu_for(j)])
     costs = vertex_group_costs(FeatureMatrix.from_array(state.values[members]), pair_cents)
-    cost_i = costs[:, 0]  # price of the source side (group i)
-    cost_j = costs[:, 1]  # price of the sink side (group j)
 
     local = np.full(state.graph.n, -1, dtype=np.int64)
-    local[members] = np.arange(nloc)
+    local[members] = np.arange(members.size)
     esrc, edst = state.graph.edge_src, state.graph.edge_dst
-    gs, gd = assign[esrc], assign[edst]
-    in_pair_src = (gs == i) | (gs == j)
-    in_pair_dst = (gd == i) | (gd == j)
-    between_src = (gs > i) & (gs < j)
-    between_dst = (gd > i) & (gd < j)
-
+    src_in_pair, dst_in_pair = in_pair[esrc], in_pair[edst]
     # edges v -> W and W -> v for members v
-    out_to_w = np.bincount(local[esrc[in_pair_src & between_dst]], minlength=nloc)
-    in_from_w = np.bincount(local[edst[between_src & in_pair_dst]], minlength=nloc)
+    out_to_w = np.bincount(local[esrc[src_in_pair & between[edst]]], minlength=members.size)
+    in_from_w = np.bincount(local[edst[between[esrc] & dst_in_pair]], minlength=members.size)
 
-    arcs: list[tuple[int, int, float]] = []
-    for lv in range(nloc):
-        sv = float(cost_j[lv]) + penalties.cross_cost(int(in_from_w[lv]), int(out_to_w[lv]))
-        vt = float(cost_i[lv]) + penalties.cross_cost(int(out_to_w[lv]), int(in_from_w[lv]))
-        arcs.append((s, lv, sv))
-        arcs.append((lv, t, vt))
-    both = in_pair_src & in_pair_dst
-    for u, v in zip(esrc[both], edst[both]):
-        arcs.append((int(local[u]), int(local[v]), penalties.lambda_f))
-        arcs.append((int(local[v]), int(local[u]), penalties.lambda_b))
-    return FlowNetwork.from_arcs(nloc + 2, s, t, arcs, node_labels=members)
+    def cross_cost(forward, backward):
+        inf_edges, finite = penalties.split(forward, backward)
+        return np.where(inf_edges != 0, math.inf, finite)
+
+    both = src_in_pair & dst_in_pair
+    return _cut_network(
+        costs[:, 1] + cross_cost(in_from_w, out_to_w),  # price of the sink side (group j)
+        costs[:, 0] + cross_cost(out_to_w, in_from_w),  # price of the source side (group i)
+        local[esrc[both]], local[edst[both]], penalties, members,
+    )
 
 
 def redistribute_pair(
@@ -306,8 +310,6 @@ def redistribute_pair(
         return None
     net = build_cut_graph_pair(state, i, j, penalties)
     members = net.node_labels
-    if members.size == 0:
-        return None
     _, side = max_flow_min_cut(net)
     targets = np.full(members.size, j, dtype=np.int64)
     for node in side:

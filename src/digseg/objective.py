@@ -93,8 +93,6 @@ def update_centroids(partition: OrderedPartition, features: FeatureMatrix) -> Ce
 
 def cross_edge_counts(graph: DirectedGraph, assign: np.ndarray) -> tuple[int, int]:
     """(forward, backward) cross-edge counts of an assignment."""
-    if graph.m == 0:
-        return 0, 0
     gs = assign[graph.edge_src]
     gd = assign[graph.edge_dst]
     return int((gs < gd).sum()), int((gs > gd).sum())

@@ -124,13 +124,14 @@ def test_criterion_3_flow_kernel_against_bipartition_enumeration():
     worst = 0.0
     for trial in range(100):
         n = int(rng.integers(3, 13))
-        arcs = []
+        tails, heads, caps = [], [], []
         for _ in range(int(rng.integers(2, 3 * n))):
             u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
             if u != v:
-                cap = math.inf if rng.random() < 0.05 else float(rng.uniform(0, 5))
-                arcs.append((u, v, cap))
-        net = FlowNetwork.from_arcs(n, 0, n - 1, arcs)
+                tails.append(u)
+                heads.append(v)
+                caps.append(math.inf if rng.random() < 0.05 else float(rng.uniform(0, 5)))
+        net = FlowNetwork.from_arcs(n, 0, n - 1, tails, heads, caps)
         value, side = max_flow_min_cut(net)
         others = [x for x in range(n) if x not in (0, n - 1)]
         best = math.inf

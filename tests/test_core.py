@@ -26,11 +26,26 @@ def test_load_header_only():
     assert g.n == 2 and g.m == 0
 
 
+def adjacency_lists(g):
+    """(out, in) neighbor lists in edge order, built from the edge pairs."""
+    out = [[] for _ in range(g.n)]
+    inn = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        out[u].append(v)
+        inn[v].append(u)
+    return out, inn
+
+
+def csr_rows(indptr, nbrs):
+    return [nbrs[indptr[v]:indptr[v + 1]].tolist() for v in range(len(indptr) - 1)]
+
+
 def test_load_path_graph():
     g = load_graph("3\n0 1\n1 2\n")
     assert g.n == 3 and g.m == 2
-    assert g.out_adj == [[1], [2], []]
-    assert g.in_adj == [[], [0], [1]]
+    out, inn = adjacency_lists(g)
+    assert out == [[1], [2], []] and csr_rows(*g.out_csr) == out
+    assert inn == [[], [0], [1]] and csr_rows(*g.in_csr) == inn
 
 
 def test_load_rejects_self_loop():
@@ -72,7 +87,9 @@ def test_load_empty_input_rejected():
 
 def test_parallel_edges_preserved():
     g = load_graph("2\n0 1\n0 1\n")
-    assert g.m == 2 and g.out_adj[0] == [1, 1]
+    out, inn = adjacency_lists(g)
+    assert g.m == 2 and out[0] == [1, 1] and inn[1] == [0, 0]
+    assert csr_rows(*g.out_csr) == out and csr_rows(*g.in_csr) == inn
 
 
 def test_roundtrip_edge_multiset():
@@ -88,11 +105,49 @@ def test_adjacency_mirrors_edge_multiset():
     rng = np.random.default_rng(8)
     for _ in range(20):
         g = random_digraph(rng, int(rng.integers(2, 9)), int(rng.integers(0, 15)))
-        assert sum(len(a) for a in g.out_adj) == g.m
-        assert sum(len(a) for a in g.in_adj) == g.m
+        out_rows, in_rows = csr_rows(*g.out_csr), csr_rows(*g.in_csr)
+        assert sum(len(a) for a in out_rows) == g.m
+        assert sum(len(a) for a in in_rows) == g.m
         for u, v in g.edges:
-            assert g.out_adj[u].count(v) == [e for e in g.edges].count((u, v))
-            assert g.in_adj[v].count(u) == g.out_adj[u].count(v)
+            assert out_rows[u].count(v) == [e for e in g.edges].count((u, v))
+            assert in_rows[v].count(u) == out_rows[u].count(v)
+
+
+def test_from_edges_names_the_first_bad_edge():
+    with pytest.raises(EdgeListError, match="self-loop at vertex 1"):
+        DirectedGraph.from_edges(3, [(0, 1), (1, 1), (0, 5)])
+    with pytest.raises(EdgeListError, match=r"edge \(0, 5\) out of range for n=3"):
+        DirectedGraph.from_edges(3, [(0, 1), (0, 5), (1, 1)])
+    with pytest.raises(EdgeListError, match=r"edge \(5, 5\) out of range"):
+        DirectedGraph.from_edges(3, [(5, 5), (1, 1)])
+
+
+def test_from_edges_rejects_negative_ids():
+    with pytest.raises(EdgeListError, match=r"edge \(-1, 0\) out of range"):
+        DirectedGraph.from_edges(3, [(0, 1), (-1, 0)])
+    with pytest.raises(EdgeListError, match="out of range"):
+        DirectedGraph.from_edges(3, np.array([[2, -3]]))
+
+
+def test_from_edges_array_equals_pairs():
+    pairs = [(0, 2), (2, 1), (0, 2), (3, 0)]
+    a = DirectedGraph.from_edges(4, pairs)
+    b = DirectedGraph.from_edges(4, np.array(pairs, dtype=np.int64))
+    assert a.n == b.n and a.edges == b.edges == pairs
+    for x, y in ((a.edge_src, b.edge_src), (a.edge_dst, b.edge_dst)):
+        assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
+        assert not x.flags.writeable and not y.flags.writeable
+    for (pa, na), (pb, nb) in ((a.out_csr, b.out_csr), (a.in_csr, b.in_csr)):
+        assert np.array_equal(pa, pb) and np.array_equal(na, nb)
+    empty = DirectedGraph.from_edges(2, np.zeros((0, 2), dtype=np.int64))
+    assert empty.m == 0 and empty.edges == [] == DirectedGraph.from_edges(2, []).edges
+
+
+def test_from_edges_rejects_triples():
+    with pytest.raises(EdgeListError, match="pairs"):
+        DirectedGraph.from_edges(4, [(0, 1, 2), (1, 2, 3)])
+    with pytest.raises(EdgeListError, match="pairs"):
+        DirectedGraph.from_edges(4, [(0, 1), (1, 2, 3)])
 
 
 @st.composite
@@ -108,9 +163,10 @@ def multigraphs(draw):
 @given(multigraphs())
 def test_csr_rows_and_state_views_equal_adjacency_lists(g):
     state = SolveState(g, FeatureMatrix.from_array(np.zeros((g.n, 1))), Penalties(1, 1), [1] * g.n, 1)
+    out, inn = adjacency_lists(g)
     for (indptr, nbrs), views, adj in (
-        (g.out_csr, state.out_nbrs, g.out_adj),
-        (g.in_csr, state.in_nbrs, g.in_adj),
+        (g.out_csr, state.out_nbrs, out),
+        (g.in_csr, state.in_nbrs, inn),
     ):
         assert indptr[0] == 0 and indptr[-1] == g.m and len(views) == g.n
         for v in range(g.n):

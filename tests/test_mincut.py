@@ -40,22 +40,20 @@ def brute_force_min_cut(net: FlowNetwork) -> float:
 
 
 def test_flow_two_arc_chain():
-    net = FlowNetwork.from_arcs(3, 0, 2, [(0, 1, 3.0), (1, 2, 1.0)])
+    net = FlowNetwork.from_arcs(3, 0, 2, [0, 1], [1, 2], [3.0, 1.0])
     value, side = max_flow_min_cut(net)
     assert rel_close(value, 1.0)
     assert side == {0, 1}
 
 
 def test_flow_single_direct_arc():
-    net = FlowNetwork.from_arcs(2, 0, 1, [(0, 1, 7.0)])
+    net = FlowNetwork.from_arcs(2, 0, 1, [0], [1], [7.0])
     value, _ = max_flow_min_cut(net)
     assert rel_close(value, 7.0)
 
 
 def test_flow_two_parallel_paths():
-    net = FlowNetwork.from_arcs(
-        4, 0, 3, [(0, 1, 2.0), (1, 3, 2.0), (0, 2, 5.0), (2, 3, 1.0)]
-    )
+    net = FlowNetwork.from_arcs(4, 0, 3, [0, 1, 0, 2], [1, 3, 2, 3], [2.0, 2.0, 5.0, 1.0])
     value, _ = max_flow_min_cut(net)
     assert rel_close(value, 3.0)
 
@@ -64,17 +62,77 @@ def test_flow_matches_brute_force():
     rng = np.random.default_rng(51)
     for _ in range(30):
         n = int(rng.integers(3, 9))
-        arcs = []
+        tails, heads, caps = [], [], []
         for _ in range(int(rng.integers(2, 16))):
             u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
             if u != v:
-                arcs.append((u, v, float(rng.uniform(0, 4))))
-        net = FlowNetwork.from_arcs(n, 0, n - 1, arcs)
+                tails.append(u)
+                heads.append(v)
+                caps.append(float(rng.uniform(0, 4)))
+        net = FlowNetwork.from_arcs(n, 0, n - 1, tails, heads, caps)
         value, side = max_flow_min_cut(net)
         assert 0 in side and n - 1 not in side
         best = brute_force_min_cut(net)
         assert abs(value - best) <= 1e-9
         assert abs(net.cut_weight(side) - best) <= 1e-9
+
+
+def test_from_arcs_rejects_invalid_input():
+    with pytest.raises(ValueError, match="NaN"):
+        FlowNetwork.from_arcs(2, 0, 1, [0], [1], [math.nan])
+    with pytest.raises(ValueError, match="endpoints"):
+        FlowNetwork.from_arcs(2, 0, 1, [0], [2], [1.0])
+    with pytest.raises(ValueError, match="endpoints"):
+        FlowNetwork.from_arcs(3, 0, 2, [-1], [2], [1.0])
+    with pytest.raises(ValueError, match="equal length"):
+        FlowNetwork.from_arcs(3, 0, 2, [0, 1], [1, 2], [1.0])
+    with pytest.raises(ValueError, match="non-negative"):
+        FlowNetwork.from_arcs(2, 0, 1, [0], [1], [-1.0])
+
+
+def test_from_arcs_snaps_and_sums_the_sentinel_in_arc_order():
+    net = FlowNetwork.from_arcs(3, 0, 2, [0, 1, 0], [1, 2, 2], [0.1, math.inf, 5000.3])
+    assert net.caps.tolist() == [round(0.1 * 2.0**40) / 2.0**40, net.sentinel, 5000.3]
+    # grid steps below the ulp of 8192: the sum depends on the order of addition
+    caps = [8192.0] + [2.0**-40] * 15 + [math.inf]
+    net = FlowNetwork.from_arcs(2, 0, 1, [0] * 17, [1] * 17, caps)
+    assert net.sentinel == 1.0 + sum(caps[:-1]) and net.caps[-1] == net.sentinel
+
+
+# graph 0 -> 1, 3 -> 0, 0 -> 2, 1 -> 2, 2 -> 0, 2 -> 3 over features 0, 1, 2, 3
+_PIN_EDGES = [(0, 1), (3, 0), (0, 2), (1, 2), (2, 0), (2, 3)]
+_PIN_FEATURES = [[0.0], [1.0], [2.0], [3.0]]
+
+
+def test_k2_network_arc_sequence():
+    g = DirectedGraph.from_edges(4, _PIN_EDGES)
+    f = FeatureMatrix.from_array(_PIN_FEATURES)
+    net = build_cut_graph_k2(g, f, [0.0], [3.0], Penalties(0.5, 2.0))
+    s, t = 4, 5
+    # (s, v) at the squared distance to mu2, (v, t) at the one to mu1, per vertex;
+    # then (u, w) at lambda_f and (w, u) at lambda_b, per edge in edge order
+    assert net.tails.tolist() == [s, 0, s, 1, s, 2, s, 3, 0, 1, 3, 0, 0, 2, 1, 2, 2, 0, 2, 3]
+    assert net.heads.tolist() == [0, t, 1, t, 2, t, 3, t, 1, 0, 0, 3, 2, 0, 2, 1, 0, 2, 3, 2]
+    assert net.caps.tolist() == [9.0, 0.0, 4.0, 1.0, 1.0, 4.0, 0.0, 9.0] + [0.5, 2.0] * 6
+    assert net.node_labels.tolist() == [0, 1, 2, 3]
+
+
+def test_pair_network_arc_sequence():
+    # groups 1, 2, 3, 4 hold one vertex each; the pair (1, 3) has group 2 between
+    # it and group 4 outside, so only 0 and 2 become nodes (local 0 and 1)
+    g = DirectedGraph.from_edges(4, _PIN_EDGES)
+    f = FeatureMatrix.from_array(_PIN_FEATURES)
+    pen = Penalties(0.5, 2.0)
+    st = SolveState(g, f, pen, [1, 2, 3, 4], 4)
+    net = build_cut_graph_pair(st, 1, 3, pen)
+    s, t = 2, 3
+    assert net.node_labels.tolist() == [0, 2]
+    assert net.tails.tolist() == [s, 0, s, 1, 0, 1, 1, 0]
+    assert net.heads.tolist() == [0, t, 1, t, 1, 0, 0, 1]
+    # (s, 0): |0-2|^2 + lambda_b for 0 -> 1; (0, t): 0 + lambda_f for 0 -> 1;
+    # (s, 1): 0 + lambda_f for 1 -> 2;      (1, t): |2-0|^2 + lambda_b for 1 -> 2;
+    # then the in-pair edges 0 -> 2 and 2 -> 0
+    assert net.caps.tolist() == [6.0, 0.5, 0.5, 6.0, 0.5, 2.0, 0.5, 2.0]
 
 
 def test_k2_network_arc_weights():

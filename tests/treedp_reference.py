@@ -16,15 +16,25 @@ from digseg.treedp import DpTables
 from digseg.objective import vertex_group_costs
 
 
+def children_lists(graph) -> list[list[int]]:
+    """Each vertex's children in edge order, built from the edge pairs."""
+    kids: list[list[int]] = [[] for _ in range(graph.n)]
+    for u, v in graph.edges:
+        kids[u].append(v)
+    return kids
+
+
 def reference_dp_tables(graph, features, centroids, penalties) -> DpTables:
-    roots = [v for v in range(graph.n) if not graph.in_adj[v]]
+    kids = children_lists(graph)
+    has_parent = {v for _, v in graph.edges}
+    roots = [v for v in range(graph.n) if v not in has_parent]
     pre: list[int] = []
     for r in roots:
         stack = [r]
         while stack:
             v = stack.pop()
             pre.append(v)
-            stack.extend(graph.out_adj[v])
+            stack.extend(kids[v])
     assert len(pre) == graph.n, "not an arborescence forest"
 
     n, k = graph.n, centroids.k
@@ -37,7 +47,7 @@ def reference_dp_tables(graph, features, centroids, penalties) -> DpTables:
     u_arg = np.full((n, k), -1, dtype=np.int64)
     for v in reversed(pre):
         row = point_costs[v].copy()
-        for w in graph.out_adj[v]:
+        for w in kids[v]:
             row += np.minimum(c[w], np.minimum(lam_f + u[w], lam_b + ell[w]))
         c[v] = row
         best, arg = math.inf, -1
@@ -59,6 +69,7 @@ def reference_solve(graph, features, centroids, penalties) -> tuple[np.ndarray, 
     """(labels 1..k, cost) by an explicit-stack backtrack over the reference tables."""
     tables = reference_dp_tables(graph, features, centroids, penalties)
     lam_f, lam_b = penalties.lambda_f, penalties.lambda_b
+    kids = children_lists(graph)
     assign = np.ones(graph.n, dtype=np.int64)
     total = 0.0
     for r in tables.roots:
@@ -68,7 +79,7 @@ def reference_solve(graph, features, centroids, penalties) -> tuple[np.ndarray, 
         while stack:
             v, col = stack.pop()
             assign[v] = col + 1
-            for w in graph.out_adj[v]:
+            for w in kids[v]:
                 same = tables.c[w, col]
                 fwd = lam_f + tables.u[w, col]
                 bwd = lam_b + tables.ell[w, col]
