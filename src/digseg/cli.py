@@ -118,7 +118,10 @@ def _read_assignment(path: str) -> OrderedPartition:
             tokens = line.replace(",", " ").split()
             if len(tokens) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'vertex,group', got {line!r}")
-            pairs[int(tokens[0])] = int(tokens[1])
+            vid = int(tokens[0])
+            if vid in pairs:
+                raise ValueError(f"{path}:{lineno}: duplicate row for vertex {vid}")
+            pairs[vid] = int(tokens[1])
         missing = [v for v in range(len(pairs)) if v not in pairs]
         if missing:
             raise ValueError(f"{path}: missing assignment for vertex id(s) {missing[:5]}")

@@ -14,7 +14,8 @@ from .core import DirectedGraph, FeatureMatrix, OrderedPartition, Penalties
 from .objective import CostBreakdown, SolveState, total_cost
 
 SOLVER_KINDS = ("greedy", "treedp", "mcut")
-COMMIT_TOL = 1e-9
+REL_TOL = 1e-9  # the loop stops once a step improves the loss by less than this, relatively
+COMMIT_TOL = 1e-9  # a partition step commits only improvements larger than this
 
 
 @dataclass(frozen=True)
@@ -22,9 +23,7 @@ class SolveConfig:
     max_iters: int = 100
     restarts: int = 10
     seed: int = 0
-    rel_tol: float = 1e-9
     solver_kind: str = "greedy"
-    forbid_empty: bool = False
     track_steps: bool = False
 
     def __post_init__(self):
@@ -60,8 +59,8 @@ def iteration_rng(seed: int, iteration: int) -> np.random.Generator:
     return np.random.default_rng((norm_seed(seed), iteration))
 
 
-def small_improvement(old: float, new: float, rel_tol: float) -> bool:
-    """True when the relative loss improvement falls below `rel_tol`.
+def small_improvement(old: float, new: float) -> bool:
+    """True when the relative loss improvement falls below `REL_TOL`.
 
     Losses can span orders of magnitude, so the improvement is scaled by
     max(old, 1).  Two infinite losses are incomparable here (progress may
@@ -70,7 +69,7 @@ def small_improvement(old: float, new: float, rel_tol: float) -> bool:
     """
     if math.isinf(old):
         return False
-    return (old - new) / max(old, 1.0) < rel_tol
+    return (old - new) / max(old, 1.0) < REL_TOL
 
 
 def finish_result(
@@ -118,7 +117,7 @@ def alternate(
     commit to `step_log` when `config.track_steps` is set.  Neither the
     center update nor any step increases the loss, so the logged losses are
     non-increasing.  The loop stops, converged, once a step commits nothing
-    or the relative loss improvement falls below `config.rel_tol`, and
+    or the relative loss improvement falls below `REL_TOL`, and
     otherwise after `config.max_iters` iterations.  The result's breakdown
     is recomputed from scratch.
     """
@@ -134,7 +133,7 @@ def alternate(
             repair(state)
         changes = step(state, it, step_log)
         new_loss = state.total()
-        if changes == 0 or small_improvement(loss, new_loss, config.rel_tol):
+        if changes == 0 or small_improvement(loss, new_loss):
             converged = True
             break
         loss = new_loss

@@ -294,25 +294,29 @@ class Penalties:
             finite = finite + self.lambda_b * backward
         return inf_edges, finite
 
-    def cross_cost(self, forward: int, backward: int) -> float:
-        """Total penalty of the given cross-edge counts (0 * inf == 0)."""
-        inf_edges, finite = self.split(forward, backward)
-        return math.inf if inf_edges else finite
+    def cross_cost(self, forward, backward):
+        """Total penalty of the given cross-edge counts (0 * inf == 0).
 
-    def cross_cost_delta(self, d_forward: int, d_backward: int) -> float:
+        Elementwise on numpy arrays, like `split`; scalars give a float.
+        """
+        inf_edges, finite = self.split(forward, backward)
+        return _float_if_scalar(np.where(inf_edges != 0, math.inf, finite))
+
+    def cross_cost_delta(self, d_forward, d_backward):
         """Signed penalty change for count changes (d_forward, d_backward).
 
         With an infinite weight, the sign of the net change in the count of
         infinitely-penalized edges decides the result: gaining such an edge
         yields +inf, shedding one yields -inf, and an unchanged count falls
-        back to the finite part.
+        back to the finite part.  Elementwise like `cross_cost`.
         """
         inf_change, finite = self.split(d_forward, d_backward)
-        if inf_change > 0:
-            return math.inf
-        if inf_change < 0:
-            return -math.inf
-        return finite
+        delta = np.where(inf_change > 0, math.inf, np.where(inf_change < 0, -math.inf, finite))
+        return _float_if_scalar(delta)
+
+
+def _float_if_scalar(x: np.ndarray):
+    return float(x) if x.ndim == 0 else x
 
 
 @dataclass(frozen=True, eq=False)

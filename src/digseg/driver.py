@@ -138,8 +138,7 @@ def _run_phase(
         return mincut_mod.run_mcut(
             graph, features, penalties, k, init, config, _repair=repair_empty_groups
         )
-    repair = repair_empty_groups if config.forbid_empty else None
-    return greedy_mod.run_greedy(graph, features, penalties, k, init, config, _repair=repair)
+    return greedy_mod.run_greedy(graph, features, penalties, k, init, config)
 
 
 def run_iterative(
@@ -161,7 +160,7 @@ def run_iterative(
 
     The tree solver requires an arborescence forest; the pairwise cut solver
     requires k >= 2.  Empty groups are reseeded before every tree / pair-cut
-    partition step, and before greedy scans only under `forbid_empty`.
+    partition step.
     """
     start = time.perf_counter()
     init = random_init(graph.n, k, config.seed)

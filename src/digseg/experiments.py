@@ -36,6 +36,8 @@ class SyntheticInstance:
 def _gen(n: int, d: int, k: int, sigma2: float, edge_prob: float, seed: int) -> SyntheticInstance:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if k < 1:
+        raise ValueError(f"need k >= 1 clusters, got {k}")
     if n % k:
         raise ValueError(f"n must be divisible by k, got n={n}, k={k}")
     if sigma2 < 0:

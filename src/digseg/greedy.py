@@ -9,7 +9,7 @@ improving best move.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -56,10 +56,7 @@ def best_move(state: SolveState, v: int) -> tuple[int, float]:
     dfwd = fwd_at - fwd_at[i]
     dbwd = bwd_at - bwd_at[i]
 
-    inf_change, finite = state.penalties.split(dfwd, dbwd)
-    d_edge = np.where(inf_change > 0, math.inf, np.where(inf_change < 0, -math.inf, finite))
-
-    delta = d_coh + d_edge
+    delta = d_coh + state.penalties.cross_cost_delta(dfwd, dbwd)
     delta[0] = math.inf
     delta[i] = math.inf
     best_j = int(np.argmin(delta[1:])) + 1
@@ -69,24 +66,17 @@ def best_move(state: SolveState, v: int) -> tuple[int, float]:
     return best_j, best
 
 
-def sweep(
-    state: SolveState,
-    order,
-    commit_tol: float = COMMIT_TOL,
-    forbid_empty: bool = False,
-    step_log: Optional[list[float]] = None,
-) -> int:
+def sweep(state: SolveState, order, step_log: Optional[list[float]] = None) -> int:
     """Visit the vertices in `order`, committing strictly improving best moves.
 
-    Returns the number of committed moves.
+    A move commits when it lowers the loss by more than `COMMIT_TOL`.  Returns
+    the number of committed moves.
     """
     commits = 0
     for v in order:
         v = int(v)
-        if forbid_empty and state.counts[state.assign[v]] == 1:
-            continue
         target, delta = best_move(state, v)
-        if delta < -commit_tol:
+        if delta < -COMMIT_TOL:
             state.apply_move(v, target)
             commits += 1
             if step_log is not None:
@@ -101,22 +91,21 @@ def run_greedy(
     k: int,
     init: OrderedPartition,
     config: SolveConfig,
-    _repair: Optional[Callable[[SolveState], object]] = None,
 ) -> SolveResult:
     """Greedy local search from the given initial partition.
 
     Each iteration of `alternate` is one scan in a fresh random order derived
     from the run seed; every `REVALIDATE_EVERY` scans the caches are rebuilt.
-    Empty groups are legal unless `config.forbid_empty` is set.
+    Empty groups are legal and are never reseeded.
     """
     if init.k != k or init.n != graph.n:
         raise ValueError("initial partition does not match the instance")
 
     def step(state: SolveState, it: int, step_log: Optional[list[float]]) -> int:
         order = iteration_rng(config.seed, it).permutation(graph.n)
-        commits = sweep(state, order, forbid_empty=config.forbid_empty, step_log=step_log)
+        commits = sweep(state, order, step_log)
         if it % REVALIDATE_EVERY == 0:
             state.rebuild()
         return commits
 
-    return alternate(graph, features, penalties, init, config, step, _repair)
+    return alternate(graph, features, penalties, init, config, step)

@@ -10,7 +10,6 @@ cut that avoids them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import pairwise
 from typing import Callable, Optional
@@ -33,7 +32,8 @@ class FlowNetwork:
     int64 and float64 arrays in arc order.  Capacities are finite and
     non-negative.  `from_arcs` rounds finite inputs below 2^12 to the 2^-40
     grid (larger floats already sit on it) and replaces infinite ones by the
-    sentinel, one plus the finite capacities summed in arc order.
+    sentinel, one plus the finite capacities summed in arc order (plain
+    left-to-right float addition, the same on every Python version).
     `node_labels` maps internal vertex nodes back to graph vertex ids.
     """
 
@@ -72,7 +72,8 @@ class FlowNetwork:
         if caps.size and caps.min() < 0:
             raise ValueError("arc capacities must be non-negative")
         infinite = np.isinf(caps)
-        sentinel = 1.0 + sum(caps[~infinite].tolist())
+        # plain left-to-right addition: sum() compensates from Python 3.12 on
+        sentinel = 1.0 + float(np.cumsum(np.append(0.0, caps[~infinite]))[-1])
         caps[infinite] = sentinel
         labels = None if node_labels is None else np.asarray(node_labels, dtype=np.int64)
         return cls(num_nodes, source, sink, tails, heads, caps, sentinel, labels)
@@ -251,12 +252,7 @@ def solve_two_partition(
     return partition, cost
 
 
-def build_cut_graph_pair(
-    state: SolveState,
-    i: int,
-    j: int,
-    penalties: Penalties,
-) -> FlowNetwork:
+def build_cut_graph_pair(state: SolveState, i: int, j: int) -> FlowNetwork:
     """Cut network that redistributes the members of groups i and j (i < j).
 
     Only those vertices appear as internal nodes (`node_labels` maps them
@@ -264,6 +260,7 @@ def build_cut_graph_pair(
     corrections for edges to the groups strictly between i and j: such an
     edge is backward on one side of the choice and forward on the other.
     Edges to groups outside (i, j) cost the same either way and are omitted.
+    Arc weights come from `state.penalties`.
     """
     if not (1 <= i < j <= state.k):
         raise ValueError(f"expected 1 <= i < j <= {state.k}, got ({i}, {j})")
@@ -283,24 +280,16 @@ def build_cut_graph_pair(
     out_to_w = np.bincount(local[esrc[src_in_pair & between[edst]]], minlength=members.size)
     in_from_w = np.bincount(local[edst[between[esrc] & dst_in_pair]], minlength=members.size)
 
-    def cross_cost(forward, backward):
-        inf_edges, finite = penalties.split(forward, backward)
-        return np.where(inf_edges != 0, math.inf, finite)
-
+    pen = state.penalties
     both = src_in_pair & dst_in_pair
     return _cut_network(
-        costs[:, 1] + cross_cost(in_from_w, out_to_w),  # price of the sink side (group j)
-        costs[:, 0] + cross_cost(out_to_w, in_from_w),  # price of the source side (group i)
-        local[esrc[both]], local[edst[both]], penalties, members,
+        costs[:, 1] + pen.cross_cost(in_from_w, out_to_w),  # price of the sink side (group j)
+        costs[:, 0] + pen.cross_cost(out_to_w, in_from_w),  # price of the source side (group i)
+        local[esrc[both]], local[edst[both]], pen, members,
     )
 
 
-def redistribute_pair(
-    state: SolveState,
-    i: int,
-    j: int,
-    penalties: Penalties,
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
+def redistribute_pair(state: SolveState, i: int, j: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Optimal reassignment of the members of groups i and j between i and j.
 
     Returns (member vertex ids, target group per member) or None when either
@@ -308,7 +297,7 @@ def redistribute_pair(
     """
     if state.counts[i] == 0 or state.counts[j] == 0:
         return None
-    net = build_cut_graph_pair(state, i, j, penalties)
+    net = build_cut_graph_pair(state, i, j)
     members = net.node_labels
     _, side = max_flow_min_cut(net)
     targets = np.full(members.size, j, dtype=np.int64)
@@ -318,16 +307,11 @@ def redistribute_pair(
     return members, targets
 
 
-def pair_sweep(
-    state: SolveState,
-    penalties: Penalties,
-    commit_tol: float = COMMIT_TOL,
-    step_log: Optional[list[float]] = None,
-) -> int:
+def pair_sweep(state: SolveState, step_log: Optional[list[float]] = None) -> int:
     """One pass over all group pairs in lexicographic order.
 
     Each pair's redistribution is committed only if it strictly lowers the
-    cached objective by more than `commit_tol` (guards rounding-induced
+    cached objective by more than `COMMIT_TOL` (guards rounding-induced
     oscillation); under an infinite weight, shedding infinitely-penalized
     edges counts as an improvement even though both totals print as inf.
     Centers refresh implicitly from the running sums after each commit.
@@ -336,7 +320,7 @@ def pair_sweep(
     commits = 0
     for i in range(1, state.k):
         for j in range(i + 1, state.k + 1):
-            result = redistribute_pair(state, i, j, penalties)
+            result = redistribute_pair(state, i, j)
             if result is None:
                 continue
             members, targets = result
@@ -350,7 +334,7 @@ def pair_sweep(
                 state.apply_move(int(v), int(g))
             inf_after, fin_after = state.loss_parts()
             improved = inf_after < inf_before or (
-                inf_after == inf_before and fin_after < fin_before - commit_tol
+                inf_after == inf_before and fin_after < fin_before - COMMIT_TOL
             )
             if improved:
                 commits += 1
@@ -364,7 +348,7 @@ def pair_sweep(
 
 def _sweep_step(state: SolveState, it: int, step_log: Optional[list[float]]) -> int:
     state.rebuild()  # clear running-sum drift before the sweep
-    return pair_sweep(state, state.penalties, step_log=step_log)
+    return pair_sweep(state, step_log)
 
 
 def run_mcut(

@@ -121,6 +121,25 @@ def test_eval_identical_files_prints_one(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1.0"
 
 
+def test_eval_rejects_duplicate_vertex_row(tmp_path, capsys):
+    truth = tmp_path / "t.truth"
+    truth.write_text("0,1\n1,2\n2,2\n")
+    pred = tmp_path / "p.truth"
+    pred.write_text("0,1\n1,2\n# comment\n1,1\n2,2\n")
+    assert run_cli("eval", "--pred", str(pred), "--truth", str(truth)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {pred}:4: duplicate row for vertex 1" in captured.err
+
+
+def test_synth_rejects_zero_clusters(tmp_path, capsys):
+    prefix = str(tmp_path / "inst")
+    assert run_cli("synth", "--model", "tree", "--n", "10", "--clusters", "0",
+                   "--out-prefix", prefix) == 1
+    assert "error: need k >= 1 clusters, got 0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_sweep_writes_csv(tmp_path):
     out = str(tmp_path / "sweep.csv")
     code = run_cli("sweep", "--model", "tree", "--solver", "greedy",

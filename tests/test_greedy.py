@@ -122,15 +122,6 @@ def test_run_greedy_clears_infinite_backward_edges():
     assert math.isfinite(res.breakdown.total)
 
 
-def test_forbid_empty_keeps_groups_nonempty():
-    g = DirectedGraph.from_edges(3, [])
-    f = FeatureMatrix.from_array([[0.0], [0.1], [0.2]])
-    init = OrderedPartition.from_labels(3, [1, 2, 3])
-    cfg = SolveConfig(seed=0, forbid_empty=True)
-    res = run_greedy(g, f, NOPEN, 3, init, cfg)
-    assert (res.partition.group_sizes()[1:] >= 1).all()
-
-
 def test_sweep_time_scales_linearly():
     # doubling n should roughly double one scan's wall time
     def one_scan_seconds(n: int) -> float:

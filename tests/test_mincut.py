@@ -93,10 +93,11 @@ def test_from_arcs_rejects_invalid_input():
 def test_from_arcs_snaps_and_sums_the_sentinel_in_arc_order():
     net = FlowNetwork.from_arcs(3, 0, 2, [0, 1, 0], [1, 2, 2], [0.1, math.inf, 5000.3])
     assert net.caps.tolist() == [round(0.1 * 2.0**40) / 2.0**40, net.sentinel, 5000.3]
-    # grid steps below the ulp of 8192: the sum depends on the order of addition
+    # grid steps below the ulp of 8192: added one at a time left to right, each
+    # rounds away (a compensated or pairwise sum would keep them)
     caps = [8192.0] + [2.0**-40] * 15 + [math.inf]
     net = FlowNetwork.from_arcs(2, 0, 1, [0] * 17, [1] * 17, caps)
-    assert net.sentinel == 1.0 + sum(caps[:-1]) and net.caps[-1] == net.sentinel
+    assert net.sentinel == 8193.0 and net.caps[-1] == net.sentinel
 
 
 # graph 0 -> 1, 3 -> 0, 0 -> 2, 1 -> 2, 2 -> 0, 2 -> 3 over features 0, 1, 2, 3
@@ -124,7 +125,7 @@ def test_pair_network_arc_sequence():
     f = FeatureMatrix.from_array(_PIN_FEATURES)
     pen = Penalties(0.5, 2.0)
     st = SolveState(g, f, pen, [1, 2, 3, 4], 4)
-    net = build_cut_graph_pair(st, 1, 3, pen)
+    net = build_cut_graph_pair(st, 1, 3)
     s, t = 2, 3
     assert net.node_labels.tolist() == [0, 2]
     assert net.tails.tolist() == [s, 0, s, 1, 0, 1, 1, 0]
@@ -211,7 +212,7 @@ def test_pair_network_weight_corrections():
     g = DirectedGraph.from_edges(4, [(0, 2)])
     f = FeatureMatrix.from_array([[1.0], [-1.0], [0.5], [1.0]])
     st = SolveState(g, f, Penalties(2.0, 7.0), [1, 1, 2, 3], 3)
-    net = build_cut_graph_pair(st, 1, 3, Penalties(2.0, 7.0))
+    net = build_cut_graph_pair(st, 1, 3)
     assert list(net.node_labels) == [0, 1, 3]
     caps = {(int(u), int(v)): c for u, v, c in zip(net.tails, net.heads, net.caps)}
     s, t = 3, 4
@@ -227,7 +228,7 @@ def test_pair_network_empty_w_matches_k2():
     assign = rng.integers(1, 3, size=6)
     assign[0], assign[1] = 1, 2  # both groups nonempty
     st = SolveState(g, f, pen, assign, 2)
-    net_pair = build_cut_graph_pair(st, 1, 2, pen)
+    net_pair = build_cut_graph_pair(st, 1, 2)
     cents = st.centroids()
     net_k2 = build_cut_graph_k2(g, f, cents.mu[0], cents.mu[1], pen)
     pair_caps = sorted(zip(net_pair.tails.tolist(), net_pair.heads.tolist(), net_pair.caps.tolist()))
@@ -248,7 +249,7 @@ def test_pair_step_is_optimal_redistribution():
         assign = rng.integers(1, k + 1, size=n)
         st = SolveState(g, f, pen, assign, k)
         i, j = sorted(rng.choice(np.arange(1, k + 1), size=2, replace=False).tolist())
-        result = redistribute_pair(st, i, j, pen)
+        result = redistribute_pair(st, i, j)
         if result is None:
             continue
         members, targets = result
@@ -271,7 +272,7 @@ def test_pair_sweep_skips_empty_groups():
     g = DirectedGraph.from_edges(3, [(0, 1), (1, 2)])
     f = FeatureMatrix.from_array([[0.0], [0.1], [1.0]])
     st = SolveState(g, f, Penalties(0.0, 1.0), [1, 1, 3], 3)  # group 2 empty
-    commits = pair_sweep(st, Penalties(0.0, 1.0))
+    commits = pair_sweep(st)
     assert st.counts[2] == 0  # untouched
     assert commits >= 0
 

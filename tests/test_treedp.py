@@ -21,6 +21,7 @@ from digseg import (
     total_cost,
     update_centroids,
 )
+from digseg.config import REL_TOL
 from digseg.treedp import TreeLayout, compute_dp_tables
 from conftest import random_arborescence, random_features, rel_close
 from treedp_reference import reference_dp_tables, reference_solve
@@ -178,7 +179,7 @@ def test_run_iterative_treedp_matches_manual_alternation():
         part = new_part
         new_loss = total_cost(g, f, part, pen).total
         losses.append(new_loss)
-        if (loss - new_loss) / max(loss, 1.0) < cfg.rel_tol:
+        if (loss - new_loss) / max(loss, 1.0) < REL_TOL:
             break
         loss = new_loss
     assert len(losses) >= 2
