@@ -229,9 +229,11 @@ class SolveState:
         s = self.sums[g]
         return float(s @ s) / c
 
-    def _h_all(self) -> np.ndarray:
-        sq = (self.sums * self.sums).sum(axis=1)
-        return np.where(self.counts > 0, sq / np.maximum(self.counts, 1), 0.0)
+    def _h_all(self, rows=slice(None)) -> np.ndarray:
+        """`_h` of every group, or of the groups in `rows`, with the same float order."""
+        s, c = self.sums[rows], self.counts[rows]
+        sq = (s * s).sum(axis=1)
+        return np.where(c > 0, sq / np.maximum(c, 1), 0.0)
 
     def coherence(self) -> float:
         """Total coherence via the sum-decomposition identity, clamped at zero per group."""
@@ -273,6 +275,10 @@ class SolveState:
 
     # -- moves -----------------------------------------------------------
 
+    def _check_target(self, target: int) -> None:
+        if not (1 <= target <= self.k):
+            raise ValueError(f"target group {target} out of range 1..{self.k}")
+
     def edge_count_changes(self, v: int, target: int) -> tuple[int, int]:
         """(d_forward, d_backward) if vertex v moved to `target`."""
         i = self.assign[v]
@@ -291,8 +297,7 @@ class SolveState:
         part scans v's neighbors once.  May be +-inf under infinite weights.
         """
         i = int(self.assign[v])
-        if not (1 <= target <= self.k):
-            raise ValueError(f"target group {target} out of range 1..{self.k}")
+        self._check_target(target)
         if target == i:
             raise ValueError("target group equals the current group")
         a = self.values[v]
@@ -307,6 +312,7 @@ class SolveState:
 
     def apply_move(self, v: int, target: int) -> None:
         """Commit the move of v to `target`, updating all caches in O(d + deg v)."""
+        self._check_target(target)
         i = int(self.assign[v])
         if target == i:
             return

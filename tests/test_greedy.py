@@ -2,6 +2,9 @@ import math
 import time
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digseg import (
     DirectedGraph,
@@ -15,7 +18,8 @@ from digseg import (
 )
 from digseg.greedy import sweep
 from digseg.experiments import gen_stree
-from conftest import random_state, rel_close, sse_of_partition
+from conftest import random_digraph, random_state, rel_close, sse_of_partition
+import greedy_reference
 
 NOPEN = Penalties(0.0, 0.0)
 
@@ -142,3 +146,77 @@ def test_sweep_time_scales_linearly():
     t_large = one_scan_seconds(6000)
     ratio = t_large / t_small
     assert 1.5 <= ratio <= 3.0, f"scan time ratio {ratio:.2f} outside [1.5, 3.0]"
+
+
+WEIGHTS = [0.0, 0.1, 1e5, math.inf]
+
+
+@st.composite
+def scan_problems(draw):
+    """A random multigraph with cycles and isolated vertices, tie-prone integer
+    features, a random state and two shuffled scan orders."""
+    n = draw(st.integers(1, 60))
+    k = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 3))
+    ids = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=3 * n))
+    edges = [(u, v) for u, v in pairs if u != v]
+    ints = st.integers(-2, 2)
+    feats = draw(st.lists(st.lists(ints, min_size=d, max_size=d), min_size=n, max_size=n))
+    assign = draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
+    pen = Penalties(draw(st.sampled_from(WEIGHTS)), draw(st.sampled_from(WEIGHTS)))
+    orders = [draw(st.permutations(range(n))) for _ in range(2)]
+    graph = DirectedGraph.from_edges(n, edges)
+    return graph, FeatureMatrix.from_array(feats), pen, assign, k, orders
+
+
+def assert_scans_match(graph, features, pen, assign, k, orders):
+    """The block scan commits what the vertex-by-vertex reference commits."""
+    ours = SolveState(graph, features, pen, assign, k)
+    ref = SolveState(graph, features, pen, assign, k)
+    for order in orders:
+        our_log, ref_log = [], []
+        assert sweep(ours, order, our_log) == greedy_reference.sweep(ref, order, ref_log)
+        assert our_log == ref_log
+        for name in ("assign", "counts", "sums", "group_sqnorm"):
+            a, b = getattr(ours, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert (ours.fwd_count, ours.bwd_count) == (ref.fwd_count, ref.bwd_count)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_problems())
+def test_block_scan_matches_vertex_by_vertex_reference(problem):
+    assert_scans_match(*problem)
+
+
+@pytest.mark.parametrize("lam_f, lam_b", [(0.0, 0.0), (0.0, 1e5), (0.1, 0.1), (0.0, math.inf)])
+def test_block_scan_matches_reference_on_a_large_instance(lam_f, lam_b):
+    # dense commits in the first scans, sparse ones in the last, where the
+    # blocks grow to their 512-vertex cap
+    rng = np.random.default_rng(66)
+    n, k = 3000, 5
+    graph = random_digraph(rng, n, 4 * n)
+    features = FeatureMatrix.from_array(rng.integers(-3, 4, size=(n, 4)))
+    orders = [rng.permutation(n) for _ in range(8)]
+    assign = rng.integers(1, k + 1, size=n)
+    assert_scans_match(graph, features, Penalties(lam_f, lam_b), assign, k, orders)
+
+
+def test_best_move_on_an_array_equals_the_scalar_calls():
+    rng = np.random.default_rng(67)
+    for trial in range(60):
+        k = 1 + trial % 5
+        pen = Penalties(*rng.choice(WEIGHTS, size=2))
+        st_ = random_state(rng, int(rng.integers(2, 25)), int(rng.integers(0, 40)), 2, k, pen)
+        if trial % 2:
+            st_ = SolveState(st_.graph, FeatureMatrix.from_array(rng.integers(-2, 3, size=(st_.graph.n, 2))),
+                             pen, st_.assign, k)
+        vs = rng.integers(0, st_.graph.n, size=int(rng.integers(1, 40)))
+        targets, deltas = best_move(st_, vs)
+        assert targets.shape == deltas.shape == vs.shape
+        assert targets.dtype == np.int64 and deltas.dtype == np.float64
+        for v, t, dl in zip(vs, targets, deltas):
+            got = best_move(st_, int(v))
+            assert type(got[0]) is int and type(got[1]) is float
+            assert got == (int(t), float(dl))

@@ -231,3 +231,18 @@ def test_state_breakdown_consistent_under_saturating_arithmetic():
     bd = st.breakdown()
     assert bd.backward_edges == 1 and bd.total == math.inf
     assert bd.coherence == 0.0
+
+
+@pytest.mark.parametrize("target", [0, 3, -1])
+def test_apply_move_rejects_target_out_of_range_before_mutating(target):
+    g = DirectedGraph.from_edges(3, [(0, 1), (1, 2)])
+    f = FeatureMatrix.from_array([[0.0], [1.0], [5.0]])
+    st = SolveState(g, f, Penalties(1.0, 2.0), [1, 1, 2], 2)
+    before = (st.assign.copy(), st.counts.copy(), st.sums.copy(), st.group_sqnorm.copy(),
+              st.fwd_count, st.bwd_count)
+    with pytest.raises(ValueError, match="out of range 1..2"):
+        st.apply_move(1, target)
+    after = (st.assign, st.counts, st.sums, st.group_sqnorm, st.fwd_count, st.bwd_count)
+    for a, b in zip(before, after):
+        assert np.array_equal(a, b)
+    assert st.cache_drift() == 0.0
