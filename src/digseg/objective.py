@@ -3,23 +3,19 @@
 The cost of an ordered partition is the sum over groups of the minimum total
 squared distance to a single center, plus lambda_f per forward cross edge and
 lambda_b per backward cross edge.  `SolveState` caches per-group running sums
-so that the cost change of moving one vertex is an O(d + deg v) query.
+and the cross-edge counts; `SolveState.move_deltas` is the one place a move of
+single vertices is scored, and `apply_move` shares its edge arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import pairwise
+from functools import lru_cache
 
 import numpy as np
 
 from .core import DirectedGraph, FeatureMatrix, OrderedPartition, Penalties
-
-
-def _row_views(indptr: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
-    """values[indptr[v]:indptr[v + 1]] for every v, as views (np.split is slower)."""
-    return [values[a:b] for a, b in pairwise(indptr.tolist())]
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,13 +157,30 @@ def fixed_centroid_cost(
     return feat + penalties.cross_cost(fwd, bwd)
 
 
+@lru_cache(maxsize=8)
+def _edge_matrix(k: int) -> np.ndarray:
+    """0/1 matrix taking neighbor counts per (direction, group) to edge counts per target.
+
+    Row (direction, g) is one neighbor in group g: direction 0 an out-neighbor,
+    1 an in-neighbor.  Column j is the forward count with the vertex in group
+    j, column k+1+j the backward count.
+    """
+    g = np.arange(k + 1)
+    above = (g[:, None] > g[None, :]).astype(np.int64)  # neighbor group above the target
+    below = above.T.copy()
+    m = np.block([[above, below], [below, above]])
+    m.setflags(write=False)
+    return m
+
+
 class SolveState:
     """Mutable partition state with cached group statistics.
 
     Caches per-group member counts, feature sums and squared-norm sums plus
-    the two cross-edge counts, so that `move_delta` runs in O(d + deg v) and
-    `apply_move` keeps everything current.  Group-indexed arrays have k+1
-    rows with row 0 unused.  Single-owner mutable; not thread-safe.
+    the two cross-edge counts.  `move_deltas` scores vertices' moves from them
+    and the graph's CSR rows in O(k d + deg v) per vertex; `apply_move`
+    keeps everything current.  Group-indexed arrays have k+1 rows with row 0
+    unused.  Single-owner mutable; not thread-safe.
     """
 
     def __init__(
@@ -191,9 +204,6 @@ class SolveState:
             raise ValueError(f"group labels must lie in 1..{self.k}")
         self.values = features.values
         self.point_sqnorm = (self.values * self.values).sum(axis=1)
-        # Per-vertex views into the graph's neighbor rows, for O(deg v) moves.
-        self.out_nbrs = _row_views(*graph.out_csr)
-        self.in_nbrs = _row_views(*graph.in_csr)
         self.rebuild()
 
     @classmethod
@@ -221,16 +231,8 @@ class SolveState:
 
     # -- queries ---------------------------------------------------------
 
-    def _h(self, g: int) -> float:
-        """|S_g| * ||mu_g||^2, written as ||sum_g||^2 / |S_g| on the running sums."""
-        c = self.counts[g]
-        if c == 0:
-            return 0.0
-        s = self.sums[g]
-        return float(s @ s) / c
-
     def _h_all(self, rows=slice(None)) -> np.ndarray:
-        """`_h` of every group, or of the groups in `rows`, with the same float order."""
+        """|S_g| * ||mu_g||^2 = ||sum_g||^2 / |S_g| of every group, or of the groups in `rows`."""
         s, c = self.sums[rows], self.counts[rows]
         sq = (s * s).sum(axis=1)
         return np.where(c > 0, sq / np.maximum(c, 1), 0.0)
@@ -275,48 +277,105 @@ class SolveState:
 
     # -- moves -----------------------------------------------------------
 
-    def _check_target(self, target: int) -> None:
+    def neighbor_layout(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ptr, nbr, key) for `vertices`, grouped by position, out-neighbors first.
+
+        The neighbors of vertices[p] are nbr[ptr[p]:ptr[p + 1]], and `key`
+        holds their bincount slots for `move_deltas`: p * 2(k+1) for an
+        out-neighbor of vertices[p], plus k+1 for an in-neighbor.
+        """
+        k1 = self.k + 1
+        nbrs, keys = [], []
+        degree = np.zeros(vertices.size, dtype=np.int64)
+        for (indptr, ids), side in ((self.graph.out_csr, 0), (self.graph.in_csr, k1)):
+            starts = indptr[vertices]
+            deg = indptr[vertices + 1] - starts
+            first = np.cumsum(deg) - deg
+            nbrs.append(ids[np.arange(int(deg.sum())) + np.repeat(starts - first, deg)])
+            keys.append(np.repeat(np.arange(vertices.size) * (2 * k1) + side, deg))
+            degree += deg
+        key = np.concatenate(keys)
+        srt = np.argsort(key, kind="stable")
+        ptr = np.concatenate(([0], np.cumsum(degree)))
+        return ptr, np.concatenate(nbrs)[srt], key[srt]
+
+    def _edges_at(self, nbr_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(forward, backward) edge counts in each group 0..k from `_edge_matrix`-row counts."""
+        at = nbr_counts @ _edge_matrix(self.k)
+        return at[..., :self.k + 1], at[..., self.k + 1:]
+
+    def move_deltas(
+        self, vertices: np.ndarray, nbr: np.ndarray, key: np.ndarray, h: np.ndarray
+    ) -> np.ndarray:
+        """(len(vertices), k+1) objective changes of moving each vertex to each group.
+
+        `nbr` and `key` are the vertices' `neighbor_layout`, `h` is `_h_all()`.
+        Each entry moves one vertex alone against the current state; column 0
+        and each vertex's own group are +inf, and infinite weights give +-inf.
+        """
+        k1 = self.k + 1
+        rows = np.arange(vertices.size)
+        own = self.assign[vertices]
+        a = self.values[vertices]
+        counts, sums = self.counts, self.sums
+
+        # coherence terms: h(S) = |S| * ||mu||^2 from the running sums; the
+        # leaving group's row is one dot product per vertex, the same as `s @ s`
+        s_out = sums[own] - a
+        c_out = counts[own] - 1
+        sq_out = np.matmul(s_out[:, None, :], s_out[:, :, None])[:, 0, 0]
+        h_out = np.where(c_out > 0, sq_out / np.maximum(c_out, 1), 0.0)
+        s_plus = sums[None, :, :] + a[:, None, :]
+        h_plus = (s_plus * s_plus).sum(axis=2) / (counts + 1)
+        d_coh = (h[own] - h_out)[:, None] + (h[None, :] - h_plus)
+
+        # cross-edge counts for every target: neighbor counts per (direction,
+        # group) from one bincount, then one product with the 0/1 edge matrix
+        nbr_counts = np.bincount(key + self.assign[nbr], minlength=vertices.size * 2 * k1)
+        fwd_at, bwd_at = self._edges_at(nbr_counts.reshape(vertices.size, 2 * k1))
+        dfwd = fwd_at - fwd_at[rows, own][:, None]
+        dbwd = bwd_at - bwd_at[rows, own][:, None]
+
+        delta = d_coh + self.penalties.cross_cost_delta(dfwd, dbwd)
+        delta[:, 0] = np.inf
+        delta[rows, own] = np.inf
+        return delta
+
+    def _check_move(self, v: int, target: int) -> None:
+        if not (0 <= v < self.graph.n):
+            raise ValueError(f"vertex {v} out of range 0..{self.graph.n - 1}")
         if not (1 <= target <= self.k):
             raise ValueError(f"target group {target} out of range 1..{self.k}")
 
     def edge_count_changes(self, v: int, target: int) -> tuple[int, int]:
         """(d_forward, d_backward) if vertex v moved to `target`."""
+        self._check_move(v, target)
+        k1 = self.k + 1
+        groups = []
+        for (indptr, ids), side in ((self.graph.out_csr, 0), (self.graph.in_csr, k1)):
+            groups.append(self.assign[ids[indptr[v]:indptr[v + 1]]] + side)
+        fwd_at, bwd_at = self._edges_at(np.bincount(np.concatenate(groups), minlength=2 * k1))
         i = self.assign[v]
-        gout = self.assign[self.out_nbrs[v]]
-        gin = self.assign[self.in_nbrs[v]]
-        dfwd = int((gout > target).sum() - (gout > i).sum())
-        dfwd += int((gin < target).sum() - (gin < i).sum())
-        dbwd = int((gout < target).sum() - (gout < i).sum())
-        dbwd += int((gin > target).sum() - (gin > i).sum())
-        return dfwd, dbwd
+        return int(fwd_at[target] - fwd_at[i]), int(bwd_at[target] - bwd_at[i])
 
     def move_delta(self, v: int, target: int) -> float:
         """Objective change of moving v to group `target`; does not mutate.
 
-        The coherence part uses the running-sum identity in O(d); the edge
-        part scans v's neighbors once.  May be +-inf under infinite weights.
+        One entry of `move_deltas`.  May be +-inf under infinite weights.
         """
-        i = int(self.assign[v])
-        self._check_target(target)
-        if target == i:
+        self._check_move(v, target)
+        if target == self.assign[v]:
             raise ValueError("target group equals the current group")
-        a = self.values[v]
-        s_i_new = self.sums[i] - a
-        c_i_new = self.counts[i] - 1
-        h_i_new = float(s_i_new @ s_i_new) / c_i_new if c_i_new > 0 else 0.0
-        s_j_new = self.sums[target] + a
-        h_j_new = float(s_j_new @ s_j_new) / (self.counts[target] + 1)
-        d_coh = self._h(i) + self._h(target) - h_i_new - h_j_new
-        dfwd, dbwd = self.edge_count_changes(v, target)
-        return d_coh + self.penalties.cross_cost_delta(dfwd, dbwd)
+        vs = np.array([v], dtype=np.int64)
+        _, nbr, key = self.neighbor_layout(vs)
+        return float(self.move_deltas(vs, nbr, key, self._h_all())[0, target])
 
     def apply_move(self, v: int, target: int) -> None:
         """Commit the move of v to `target`, updating all caches in O(d + deg v)."""
-        self._check_target(target)
+        dfwd, dbwd = self.edge_count_changes(v, target)  # checks v and target first
         i = int(self.assign[v])
         if target == i:
             return
-        dfwd, dbwd = self.edge_count_changes(v, target)
         a = self.values[v]
         self.sums[i] -= a
         self.sums[target] += a

@@ -5,18 +5,31 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from digseg import DirectedGraph, FeatureMatrix, OrderedPartition, Penalties, SolveState
 
 
 def random_digraph(rng: np.random.Generator, n: int, m: int) -> DirectedGraph:
     """Random multigraph without self-loops; parallel edges allowed."""
+    if n < 2 and m > 0:
+        raise ValueError(f"a graph without self-loops on {n} vertices has no edges, asked for {m}")
     edges = []
     while len(edges) < m:
         u = int(rng.integers(0, n))
         v = int(rng.integers(0, n))
         if u != v:
             edges.append((u, v))
+    return DirectedGraph.from_edges(n, edges)
+
+
+@st.composite
+def multigraphs(draw):
+    """Hypothesis strategy: multigraphs on 2..8 vertices, cycles and parallel edges allowed."""
+    n = draw(st.integers(2, 8))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, max_size=20))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=5)) if edges else []  # parallel edges
     return DirectedGraph.from_edges(n, edges)
 
 

@@ -42,8 +42,9 @@ def best_move(state: SolveState, v: int) -> tuple[int, float]:
 
     # cross-edge counts for every target from one pass over the neighbors;
     # pref_*[x] = number of neighbors in groups <= x
-    gout = state.assign[state.out_nbrs[v]]
-    gin = state.assign[state.in_nbrs[v]]
+    (out_ptr, heads), (in_ptr, tails) = state.graph.out_csr, state.graph.in_csr
+    gout = state.assign[heads[out_ptr[v]:out_ptr[v + 1]]]
+    gin = state.assign[tails[in_ptr[v]:in_ptr[v + 1]]]
     pref_out = np.cumsum(np.bincount(gout, minlength=k + 1))
     pref_in = np.cumsum(np.bincount(gin, minlength=k + 1))
     below_out = np.concatenate(([0], pref_out[:-1]))

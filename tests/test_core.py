@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from digseg import (
     DirectedGraph,
@@ -13,12 +12,11 @@ from digseg import (
     FeatureMatrix,
     OrderedPartition,
     Penalties,
-    SolveState,
     graph_to_edge_list,
     load_features,
     load_graph,
 )
-from conftest import random_digraph
+from conftest import multigraphs, random_digraph
 
 
 def test_load_header_only():
@@ -101,6 +99,13 @@ def test_roundtrip_edge_multiset():
         assert sorted(back.edges) == sorted(g.edges)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_random_digraph_rejects_edges_it_cannot_draw(n):
+    with pytest.raises(ValueError, match="has no edges"):
+        random_digraph(np.random.default_rng(0), n, 1)
+    assert random_digraph(np.random.default_rng(0), n, 0).m == 0
+
+
 def test_adjacency_mirrors_edge_multiset():
     rng = np.random.default_rng(8)
     for _ in range(20):
@@ -150,29 +155,14 @@ def test_from_edges_rejects_triples():
         DirectedGraph.from_edges(4, [(0, 1), (1, 2, 3)])
 
 
-@st.composite
-def multigraphs(draw):
-    n = draw(st.integers(2, 8))
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
-    edges = draw(st.lists(pairs, max_size=20))
-    edges += draw(st.lists(st.sampled_from(edges), max_size=5)) if edges else []  # parallel edges
-    return DirectedGraph.from_edges(n, edges)
-
-
 @settings(max_examples=200, deadline=None)
 @given(multigraphs())
-def test_csr_rows_and_state_views_equal_adjacency_lists(g):
-    state = SolveState(g, FeatureMatrix.from_array(np.zeros((g.n, 1))), Penalties(1, 1), [1] * g.n, 1)
+def test_csr_rows_equal_adjacency_lists(g):
     out, inn = adjacency_lists(g)
-    for (indptr, nbrs), views, adj in (
-        (g.out_csr, state.out_nbrs, out),
-        (g.in_csr, state.in_nbrs, inn),
-    ):
-        assert indptr[0] == 0 and indptr[-1] == g.m and len(views) == g.n
+    for (indptr, nbrs), adj in ((g.out_csr, out), (g.in_csr, inn)):
+        assert indptr[0] == 0 and indptr[-1] == g.m
         for v in range(g.n):
             assert nbrs[indptr[v]:indptr[v + 1]].tolist() == adj[v]
-            assert views[v].tolist() == adj[v]
-            assert np.shares_memory(views[v], nbrs) == bool(adj[v])  # a view, not a copy
 
 
 def test_load_features_echo():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from digseg import (
     Centroids,
@@ -16,7 +18,15 @@ from digseg import (
     total_cost,
     update_centroids,
 )
-from conftest import random_digraph, random_features, random_state, rel_close, sse_of_partition
+from digseg.objective import cross_edge_counts
+from conftest import (
+    multigraphs,
+    random_digraph,
+    random_features,
+    random_state,
+    rel_close,
+    sse_of_partition,
+)
 
 NOPEN = Penalties(0.0, 0.0)
 
@@ -233,16 +243,56 @@ def test_state_breakdown_consistent_under_saturating_arithmetic():
     assert bd.coherence == 0.0
 
 
-@pytest.mark.parametrize("target", [0, 3, -1])
-def test_apply_move_rejects_target_out_of_range_before_mutating(target):
+def _move_fixture():
     g = DirectedGraph.from_edges(3, [(0, 1), (1, 2)])
     f = FeatureMatrix.from_array([[0.0], [1.0], [5.0]])
     st = SolveState(g, f, Penalties(1.0, 2.0), [1, 1, 2], 2)
-    before = (st.assign.copy(), st.counts.copy(), st.sums.copy(), st.group_sqnorm.copy(),
-              st.fwd_count, st.bwd_count)
-    with pytest.raises(ValueError, match="out of range 1..2"):
-        st.apply_move(1, target)
-    after = (st.assign, st.counts, st.sums, st.group_sqnorm, st.fwd_count, st.bwd_count)
-    for a, b in zip(before, after):
+    return st, _caches(st)
+
+
+def _caches(st):
+    return (st.assign.copy(), st.counts.copy(), st.sums.copy(), st.group_sqnorm.copy(),
+            st.fwd_count, st.bwd_count)
+
+
+def _assert_unchanged(st, before):
+    for a, b in zip(before, _caches(st)):
         assert np.array_equal(a, b)
     assert st.cache_drift() == 0.0
+
+
+@pytest.mark.parametrize("target", [0, 3, -1])
+def test_apply_move_rejects_target_out_of_range_before_mutating(target):
+    st, before = _move_fixture()
+    with pytest.raises(ValueError, match="out of range 1..2"):
+        st.apply_move(1, target)
+    _assert_unchanged(st, before)
+
+
+@pytest.mark.parametrize("v", [-1, 3])
+def test_moves_reject_vertex_out_of_range_before_mutating(v):
+    st, before = _move_fixture()
+    with pytest.raises(ValueError, match=f"vertex {v} out of range 0..2"):
+        st.apply_move(v, 1)
+    with pytest.raises(ValueError, match=f"vertex {v} out of range 0..2"):
+        st.move_delta(v, 1)
+    with pytest.raises(ValueError, match=f"vertex {v} out of range 0..2"):
+        st.edge_count_changes(v, 1)
+    _assert_unchanged(st, before)
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(), hst.integers(0, 2), hst.integers(1, 5), hst.data())
+def test_edge_count_changes_equal_recounted_change(g, isolated, k, data):
+    # parallel edges and cycles come from `multigraphs`; `isolated` vertices
+    # without edges are appended
+    g = DirectedGraph.from_edges(g.n + isolated, np.column_stack((g.edge_src, g.edge_dst)))
+    labels = data.draw(hst.lists(hst.integers(1, k), min_size=g.n, max_size=g.n))
+    state = SolveState(g, FeatureMatrix.from_array(np.zeros((g.n, 1))), Penalties(1, 1), labels, k)
+    fwd, bwd = cross_edge_counts(g, state.assign)
+    for v in range(g.n):
+        for target in range(1, k + 1):
+            moved = state.assign.copy()
+            moved[v] = target
+            fwd_after, bwd_after = cross_edge_counts(g, moved)
+            assert state.edge_count_changes(v, target) == (fwd_after - fwd, bwd_after - bwd)
