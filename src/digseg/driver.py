@@ -2,16 +2,20 @@
 
 Every solver runs the one alternating loop, `config.alternate`, with its own
 partition step: an exact tree solve (`_tree_step` below), a pairwise cut
-sweep (`mincut.run_mcut`) or a greedy scan (`greedy.run_greedy`).  Empty
-groups are reseeded before partition steps that need every center defined.
+sweep (`mincut.run_mcut`) or a greedy scan (`greedy.run_greedy`).  With both
+weights at 0 the tree solver's step is `_nearest_step` instead: each vertex
+to its nearest center, the tree DP's answer at zero weights up to exact ties
+between centers, without filling its tables.  Empty groups are reseeded
+before partition steps that need every center defined.
 
 A restart runs in two phases.  The first clusters with both weights at 0
 (plain clustering, the problem's unordered special case) from a seeded
-uniformly random assignment; the groups found are then relabelled into the
-order that a greedy pass over their cross-edge counts finds cheapest under
-the real weights, and the second phase runs the same solver with the real
-weights from that order.  Zero weights, k = 1 or an edgeless graph leave a
-single phase, since the first would already be the whole run.
+uniformly random assignment, with the configured solver's zero-weight step;
+the groups found are then relabelled into the order that a greedy pass over
+their cross-edge counts finds cheapest under the real weights, and the
+second phase runs the configured solver with the real weights from that
+order.  Zero weights, k = 1 or an edgeless graph leave a single phase,
+since the first would already be the whole run.
 
 A two-phase result counts both phases in `iterations` and `seconds`, so
 seconds per iteration divide the whole run by its whole count; its
@@ -35,7 +39,7 @@ from . import mincut as mincut_mod
 from . import treedp as treedp_mod
 from .config import SolveConfig, SolveResult, alternate, norm_seed
 from .core import DirectedGraph, FeatureMatrix, OrderedPartition, Penalties
-from .objective import SolveState
+from .objective import SolveState, vertex_group_costs
 
 
 def random_init(n: int, k: int, seed: int) -> OrderedPartition:
@@ -70,6 +74,18 @@ def repair_empty_groups(state: SolveState) -> SolveState:
         state.apply_move(v, empties[0])
 
 
+def _write_labels(state: SolveState, labels: np.ndarray, step_log: Optional[list[float]]) -> int:
+    """Set `state`'s labels to `labels`, rebuilding once; returns how many changed."""
+    changed = labels != state.assign
+    changes = int(changed.sum())
+    if changes:
+        state.assign[changed] = labels[changed]
+        state.rebuild()
+        if step_log is not None:
+            step_log.append(state.total())
+    return changes
+
+
 def _tree_step(
     layout: treedp_mod.TreeLayout,
     state: SolveState,
@@ -80,14 +96,17 @@ def _tree_step(
     new_part, _ = treedp_mod.solve_tree_partition(
         state.graph, state.features, state.centroids(), state.penalties, layout=layout
     )
-    changed = new_part.assign != state.assign
-    changes = int(changed.sum())
-    if changes:
-        state.assign[changed] = new_part.assign[changed]
-        state.rebuild()
-        if step_log is not None:
-            step_log.append(state.total())
-    return changes
+    return _write_labels(state, new_part.assign, step_log)
+
+
+def _nearest_step(state: SolveState, it: int, step_log: Optional[list[float]]) -> int:
+    """Each vertex to its nearest current center, ties to the lowest group.
+
+    This is the exact fixed-center step when both weights are 0 (Lloyd's
+    step), so a zero-weight tree phase needs no DP.
+    """
+    costs = vertex_group_costs(state.features, state.centroids())
+    return _write_labels(state, np.argmin(costs, axis=1) + 1, step_log)
 
 
 def order_groups(
@@ -132,7 +151,11 @@ def _run_phase(
     config: SolveConfig,
 ) -> SolveResult:
     if config.solver_kind == "treedp":
-        step = functools.partial(_tree_step, treedp_mod.TreeLayout.from_graph(graph))
+        layout = treedp_mod.TreeLayout.from_graph(graph)  # rejects a non-forest first
+        if penalties.lambda_f == 0 and penalties.lambda_b == 0:
+            step = _nearest_step
+        else:
+            step = functools.partial(_tree_step, layout)
         return alternate(graph, features, penalties, init, config, step, repair_empty_groups)
     if config.solver_kind == "mcut":
         return mincut_mod.run_mcut(
@@ -150,13 +173,14 @@ def run_iterative(
 ) -> SolveResult:
     """One alternating run, started from the ordered zero-weight clustering.
 
-    The configured solver first runs with both weights at 0 from a seeded
-    uniformly random assignment; its groups are relabelled by
-    `order_groups`, and the same solver then runs with the real weights
-    from that order.  With zero weights, k = 1 or no edges the run is the
-    single first phase.  `max_iters` caps each phase separately; the
-    result's `iterations` and `seconds` cover both phases, while
-    `step_losses` records only the weighted phase.
+    The configured solver's zero-weight step (the nearest-center step for
+    treedp) first runs with both weights at 0 from a seeded uniformly random
+    assignment; its groups are relabelled by `order_groups`, and the
+    configured solver then runs with the real weights from that order.
+    With zero weights, k = 1 or no edges the run is the single first phase.
+    `max_iters` caps each phase separately; the result's `iterations` and
+    `seconds` cover both phases, while `step_losses` records only the
+    weighted phase.
 
     The tree solver requires an arborescence forest; the pairwise cut solver
     requires k >= 2.  Empty groups are reseeded before every tree / pair-cut

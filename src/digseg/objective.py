@@ -282,8 +282,12 @@ class SolveState:
 
         The neighbors of vertices[p] are nbr[ptr[p]:ptr[p + 1]], and `key`
         holds their bincount slots for `move_deltas`: p * 2(k+1) for an
-        out-neighbor of vertices[p], plus k+1 for an in-neighbor.
+        out-neighbor of vertices[p], plus k+1 for an in-neighbor.  A vertex
+        outside 0..n-1 raises ValueError.
         """
+        bad = (vertices < 0) | (vertices >= self.graph.n)
+        if bad.any():
+            raise ValueError(f"vertex {vertices[bad][0]} out of range 0..{self.graph.n - 1}")
         k1 = self.k + 1
         nbrs, keys = [], []
         degree = np.zeros(vertices.size, dtype=np.int64)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -20,7 +21,10 @@ from digseg import (
     run_mcut,
     total_cost,
 )
-from digseg.driver import order_groups
+from digseg.config import alternate
+from digseg.driver import _nearest_step, _tree_step, order_groups
+from digseg.experiments import gen_stree
+from digseg.treedp import TreeLayout
 from conftest import random_digraph, random_features, rel_close
 
 
@@ -250,3 +254,55 @@ def test_multi_restart_serial_and_parallel_agree():
     assert np.array_equal(a.partition.assign, b.partition.assign)
     assert a.breakdown == b.breakdown
     assert (a.seed, a.iterations, a.converged) == (b.seed, b.iterations, b.converged)
+
+
+@pytest.mark.parametrize("k, seed", [(2, 0), (5, 3)])
+def test_zero_weight_treedp_run_equals_the_tree_dp_run(k, seed):
+    # at zero weights the nearest-center step is the tree DP's exact answer;
+    # with continuous features no two centers tie, so every float agrees
+    inst = gen_stree(n=4000, d=10, k=k, sigma2=0.5, seed=seed)
+    g, f, pen = inst.graph, inst.features, Penalties(0.0, 0.0)
+    cfg = SolveConfig(solver_kind="treedp", seed=seed, track_steps=True)
+    ours = run_iterative(g, f, pen, k, cfg)
+    step = functools.partial(_tree_step, TreeLayout.from_graph(g))
+    dp = alternate(g, f, pen, random_init(g.n, k, seed), cfg, step, repair_empty_groups)
+    assert ours.partition.assign.tobytes() == dp.partition.assign.tobytes()
+    assert (ours.iterations, ours.converged) == (dp.iterations, dp.converged)
+    assert ours.breakdown == dp.breakdown
+    assert ours.step_losses == dp.step_losses and len(ours.step_losses) > 1
+
+
+def test_nearest_step_ties_go_to_the_lowest_group():
+    # both vertices sit on both centers: each moves to the lowest group
+    g = DirectedGraph.from_edges(2, [(0, 1)])
+    f = FeatureMatrix.from_array([[1.0], [1.0]])
+    st = SolveState(g, f, Penalties(0.0, 0.0), [2, 1], 2)
+    assert _nearest_step(st, 1, None) == 1
+    assert list(st.assign) == [1, 1] and st.cache_drift() == 0.0
+    # an empty group has no center, so the lowest defined one wins
+    st = SolveState(g, f, Penalties(0.0, 0.0), [3, 2], 3)
+    assert _nearest_step(st, 1, None) == 1
+    assert list(st.assign) == [2, 2]
+
+
+def test_nearest_step_and_tree_dp_differ_only_in_a_tie():
+    # vertices 1 and 2 are equidistant from centers 1 and 3; the DP may keep
+    # the higher group, the nearest-center step takes the lower one, and both
+    # partitions cost the same under the fixed centers
+    g = DirectedGraph.from_edges(3, [(0, 1), (1, 2)])
+    f = FeatureMatrix.from_array([[2.0], [1.0], [1.0]])
+    pen = Penalties(0.0, 0.0)
+    near, dp = (SolveState(g, f, pen, [2, 3, 1], 3) for _ in range(2))
+    _nearest_step(near, 1, None)
+    _tree_step(TreeLayout.from_graph(g), dp, 1, None)
+    assert list(near.assign) == [2, 1, 1] and list(dp.assign) == [2, 3, 3]
+    assert near.total() == dp.total()
+
+
+def test_zero_weight_treedp_step_losses_never_increase():
+    for seed in range(4):
+        inst = gen_stree(n=500, d=3, k=4, sigma2=1.0, seed=seed)
+        cfg = SolveConfig(solver_kind="treedp", seed=seed, track_steps=True)
+        res = run_iterative(inst.graph, inst.features, Penalties(0.0, 0.0), 4, cfg)
+        assert len(res.step_losses) > 1
+        assert (np.diff(res.step_losses) <= 0.0).all()

@@ -220,3 +220,17 @@ def test_best_move_on_an_array_equals_the_scalar_calls():
             got = best_move(st_, int(v))
             assert type(got[0]) is int and type(got[1]) is float
             assert got == (int(t), float(dl))
+
+
+@pytest.mark.parametrize("edges", [[], [(0, 1)]])
+@pytest.mark.parametrize("v", [-1, 3])
+def test_best_move_and_sweep_reject_vertex_out_of_range(edges, v):
+    g = DirectedGraph.from_edges(3, edges)
+    f = FeatureMatrix.from_array([[0.0], [1.0], [1.0]])
+    st = SolveState(g, f, NOPEN, [1, 1, 2], 2)
+    for vertices in (v, np.array([0, v])):
+        with pytest.raises(ValueError, match=f"vertex {v} out of range 0..2"):
+            best_move(st, vertices)
+    with pytest.raises(ValueError, match=f"vertex {v} out of range 0..2"):
+        sweep(st, [0, v, 1])
+    assert list(st.assign) == [1, 1, 2] and st.cache_drift() == 0.0
