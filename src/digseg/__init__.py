@@ -46,7 +46,6 @@ from .objective import (
     SolveState,
     coherence_l2,
     fixed_centroid_cost,
-    move_delta,
     total_cost,
     update_centroids,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "load_features",
     "load_graph",
     "max_flow_min_cut",
-    "move_delta",
     "multi_restart",
     "random_init",
     "repair_empty_groups",

@@ -12,12 +12,13 @@ import time
 
 import numpy as np
 
-from .config import SolveConfig, finish_result
+from .config import SOLVER_KINDS, SolveConfig, finish_result
 from .core import (
     DirectedGraph,
     FeatureMatrix,
     OrderedPartition,
     Penalties,
+    _content_lines,
     features_to_table,
     graph_to_edge_list,
     load_features,
@@ -28,7 +29,6 @@ from .experiments import (
     DEFAULT_PENALTIES,
     adjusted_rand_index,
     gen_sdag,
-    gen_stree,
     inject_noise,
     run_noise_sweep,
     write_sweep_csv,
@@ -105,23 +105,21 @@ def _read_assignment(path: str) -> OrderedPartition:
     """Read group labels from a result JSON or a 'vertex,group' text file."""
     with open(path, "r", encoding="utf-8") as f:
         content = f.read()
-    stripped = content.lstrip()
-    if stripped.startswith("{"):
-        labels = json.loads(content)["assignment"]
-        arr = np.asarray(labels, dtype=np.int64)
+    if content.lstrip().startswith("{"):
+        arr = np.asarray(json.loads(content)["assignment"], dtype=np.int64)
     else:
         pairs = {}
-        for lineno, raw in enumerate(content.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in _content_lines(content):
             tokens = line.replace(",", " ").split()
             if len(tokens) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'vertex,group', got {line!r}")
-            vid = int(tokens[0])
+            try:
+                vid, group = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-integer vertex or group in {line!r}")
             if vid in pairs:
                 raise ValueError(f"{path}:{lineno}: duplicate row for vertex {vid}")
-            pairs[vid] = int(tokens[1])
+            pairs[vid] = group
         missing = [v for v in range(len(pairs)) if v not in pairs]
         if missing:
             raise ValueError(f"{path}: missing assignment for vertex id(s) {missing[:5]}")
@@ -131,15 +129,16 @@ def _read_assignment(path: str) -> OrderedPartition:
     return OrderedPartition.from_labels(int(arr.max()), arr)
 
 
+def _solve_config(args, solver_kind: str) -> SolveConfig:
+    return SolveConfig(
+        max_iters=args.max_iters, restarts=args.restarts, seed=args.seed, solver_kind=solver_kind
+    )
+
+
 def _cmd_solve(args) -> int:
     graph, features = _load_instance(args.graph, args.features)
     penalties = Penalties(args.lambda_f, args.lambda_b)
-    config = SolveConfig(
-        max_iters=args.max_iters,
-        restarts=args.restarts,
-        seed=args.seed,
-        solver_kind=args.algo,
-    )
+    config = _solve_config(args, args.algo)
     start = time.perf_counter()
     result = multi_restart(graph, features, penalties, args.k, config, threads=args.threads)
     seconds = time.perf_counter() - start
@@ -159,47 +158,27 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    if args.model == "tree":
-        inst = gen_stree(args.n, args.d, args.clusters, args.variance, seed=args.seed)
-    else:
-        inst = gen_sdag(args.n, args.d, args.clusters, args.variance, args.edge_prob, seed=args.seed)
+    edge_prob = args.edge_prob if args.model == "dag" else 0.0
+    inst = gen_sdag(args.n, args.d, args.clusters, args.variance, edge_prob, seed=args.seed)
     if args.noise_p > 0:
         inst = inject_noise(inst, args.noise_p, seed=args.seed + 1)
     _write_file(args.out_prefix + ".edges", graph_to_edge_list(inst.graph))
     _write_file(args.out_prefix + ".features", features_to_table(inst.features))
-    truth_lines = "".join(
-        f"{v},{int(g)}\n" for v, g in enumerate(inst.ground_truth.assign)
-    )
+    truth_lines = "".join(f"{v},{int(g)}\n" for v, g in enumerate(inst.ground_truth.assign))
     _write_file(args.out_prefix + ".truth", truth_lines)
     return 0
 
 
 def _cmd_eval(args) -> int:
-    pred = _read_assignment(args.pred)
-    truth = _read_assignment(args.truth)
-    print(adjusted_rand_index(pred, truth))
+    print(adjusted_rand_index(_read_assignment(args.pred), _read_assignment(args.truth)))
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    config = SolveConfig(
-        max_iters=args.max_iters,
-        restarts=args.restarts,
-        seed=args.seed,
-        solver_kind=args.solver,
-    )
     penalties = args.penalty if args.penalty else list(DEFAULT_PENALTIES)
     rows = run_noise_sweep(
-        args.model,
-        penalties,
-        args.p_grid,
-        args.solver,
-        config,
-        n=args.n,
-        d=args.d,
-        k=args.clusters,
-        sigma2=args.variance,
-        edge_prob=args.edge_prob,
+        args.model, penalties, args.p_grid, args.solver, _solve_config(args, args.solver),
+        n=args.n, d=args.d, k=args.clusters, sigma2=args.variance, edge_prob=args.edge_prob,
         threads=args.threads,
     )
     buf = io.StringIO()
@@ -208,46 +187,53 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _instance_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--graph", required=True, help="edge-list file")
+    p.add_argument("--features", required=True, help="feature table file")
+    p.add_argument("--k", type=int, required=True, help="number of ordered groups")
+    p.add_argument("--lambda-f", type=_nonneg_lambda, default=0.0, help="forward edge weight")
+    p.add_argument("--lambda-b", type=_nonneg_lambda, default=0.0,
+                   help="backward edge weight ('inf' allowed)")
+
+
+def _generator_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--model", choices=("tree", "dag"), required=True)
+    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--d", type=int, default=10)
+    p.add_argument("--clusters", type=int, default=5)
+    p.add_argument("--variance", type=float, default=0.1)
+    p.add_argument("--edge-prob", type=float, default=0.01, help="pair edge probability (dag)")
+
+
+def _run_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--max-iters", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                   help="parallel restarts (default: machine parallelism)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="digseg",
         description="Partition a directed, feature-attributed graph into ordered coherent groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_threads = os.cpu_count() or 1
 
     solve = sub.add_parser("solve", help="solve an instance and write a result JSON")
-    solve.add_argument("--graph", required=True, help="edge-list file")
-    solve.add_argument("--features", required=True, help="feature table file")
-    solve.add_argument("--k", type=int, required=True, help="number of ordered groups")
-    solve.add_argument("--lambda-f", type=_nonneg_lambda, default=0.0, help="forward edge weight")
-    solve.add_argument("--lambda-b", type=_nonneg_lambda, default=0.0,
-                       help="backward edge weight ('inf' allowed)")
-    solve.add_argument("--algo", choices=("greedy", "treedp", "mcut"), default="greedy")
-    solve.add_argument("--restarts", type=int, default=10)
-    solve.add_argument("--max-iters", type=int, default=100)
-    solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--threads", type=int, default=default_threads,
-                       help="parallel restarts (default: machine parallelism)")
+    _instance_args(solve)
+    solve.add_argument("--algo", choices=SOLVER_KINDS, default="greedy")
+    _run_args(solve)
     solve.add_argument("--out", required=True, help="result JSON path")
     solve.set_defaults(func=_cmd_solve)
 
     oracle = sub.add_parser("oracle", help="guarded exhaustive solve for tiny inputs")
-    oracle.add_argument("--graph", required=True)
-    oracle.add_argument("--features", required=True)
-    oracle.add_argument("--k", type=int, required=True)
-    oracle.add_argument("--lambda-f", type=_nonneg_lambda, default=0.0)
-    oracle.add_argument("--lambda-b", type=_nonneg_lambda, default=0.0)
-    oracle.add_argument("--out", required=True)
+    _instance_args(oracle)
+    oracle.add_argument("--out", required=True, help="result JSON path")
     oracle.set_defaults(func=_cmd_oracle)
 
     synth = sub.add_parser("synth", help="generate a synthetic instance")
-    synth.add_argument("--model", choices=("tree", "dag"), required=True)
-    synth.add_argument("--n", type=int, default=1000)
-    synth.add_argument("--d", type=int, default=10)
-    synth.add_argument("--clusters", type=int, default=5)
-    synth.add_argument("--variance", type=float, default=0.1)
-    synth.add_argument("--edge-prob", type=float, default=0.01)
+    _generator_args(synth)
     synth.add_argument("--noise-p", type=float, default=0.0)
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--out-prefix", required=True,
@@ -260,22 +246,14 @@ def _build_parser() -> argparse.ArgumentParser:
     evalp.set_defaults(func=_cmd_eval)
 
     sweep = sub.add_parser("sweep", help="noise sweep; writes a CSV")
-    sweep.add_argument("--model", choices=("tree", "dag"), required=True)
-    sweep.add_argument("--solver", choices=("greedy", "treedp", "mcut"), required=True)
+    _generator_args(sweep)
+    sweep.add_argument("--solver", choices=SOLVER_KINDS, required=True)
     sweep.add_argument("--p-grid", type=_p_grid, default=[],
                        help="comma-separated noise probabilities")
     sweep.add_argument("--penalty", type=_penalty_pair, action="append",
                        help="'LAMBDA_F,LAMBDA_B' pair; repeatable "
                             "(default: 0,0 and 0,1e5)")
-    sweep.add_argument("--n", type=int, default=1000)
-    sweep.add_argument("--d", type=int, default=10)
-    sweep.add_argument("--clusters", type=int, default=5)
-    sweep.add_argument("--variance", type=float, default=0.1)
-    sweep.add_argument("--edge-prob", type=float, default=0.01)
-    sweep.add_argument("--restarts", type=int, default=10)
-    sweep.add_argument("--max-iters", type=int, default=100)
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--threads", type=int, default=default_threads)
+    _run_args(sweep)
     sweep.add_argument("--out", required=True, help="CSV output path")
     sweep.set_defaults(func=_cmd_sweep)
     return parser

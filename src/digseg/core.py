@@ -200,9 +200,6 @@ class FeatureMatrix:
     def d(self) -> int:
         return self.values.shape[1]
 
-    def row(self, v: int) -> np.ndarray:
-        return self.values[v]
-
 
 def load_features(source: TextSource, graph: DirectedGraph) -> FeatureMatrix:
     """Parse the comma-separated feature table: one "vertex_id,f1,...,fd" line per vertex.

@@ -201,11 +201,6 @@ def run_iterative(
     )
 
 
-def _restart_worker(args) -> SolveResult:
-    graph, features, penalties, k, config = args
-    return run_iterative(graph, features, penalties, k, config)
-
-
 def multi_restart(
     graph: DirectedGraph,
     features: FeatureMatrix,
@@ -225,14 +220,12 @@ def multi_restart(
     with process parallelism (`threads` > 1).
     """
     configs = [config.with_seed(config.seed + r) for r in range(config.restarts)]
+    run = functools.partial(run_iterative, graph, features, penalties, k)
     if threads > 1 and config.restarts > 1:
         with ProcessPoolExecutor(max_workers=min(threads, config.restarts)) as pool:
-            results = list(pool.map(
-                _restart_worker,
-                [(graph, features, penalties, k, c) for c in configs],
-            ))
+            results = list(pool.map(run, configs))
     else:
-        results = [run_iterative(graph, features, penalties, k, c) for c in configs]
+        results = list(map(run, configs))
 
     def key(r: SolveResult) -> tuple[int, float, int]:
         b = r.breakdown

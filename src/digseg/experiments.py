@@ -33,7 +33,26 @@ class SyntheticInstance:
     sigma2: float
 
 
-def _gen(n: int, d: int, k: int, sigma2: float, edge_prob: float, seed: int) -> SyntheticInstance:
+_MAX_PAIRS = 1 << 25  # gen_sdag draws every pair flag at once, about 25 bytes each
+
+
+def gen_sdag(
+    n: int = 1000,
+    d: int = 10,
+    k: int = 5,
+    sigma2: float = 0.1,
+    edge_prob: float = 0.01,
+    *,
+    seed: int,
+) -> SyntheticInstance:
+    """A random recursive tree plus independent Bernoulli forward pair edges.
+
+    The tree's root is vertex 0 and every edge goes id-up.  Pair edges are
+    drawn independently of the tree, so parallel duplicates can occur; with
+    edge_prob = 0 there are none, which is `gen_stree`.
+    All n(n-1)/2 pair flags are drawn at once, so with edge_prob > 0 more
+    than 2^25 pairs (n > 8192, about 0.8 GB) are refused.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if k < 1:
@@ -44,6 +63,8 @@ def _gen(n: int, d: int, k: int, sigma2: float, edge_prob: float, seed: int) -> 
         raise ValueError(f"variance must be non-negative, got {sigma2}")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {edge_prob}")
+    if edge_prob > 0.0 and n * (n - 1) // 2 > _MAX_PAIRS:
+        raise ValueError(f"n={n} is too large for pair edges: at most {_MAX_PAIRS} pairs (n <= 8192)")
     # independent streams keep the tree and features identical whether or not
     # pair edges are drawn
     tree_ss, pair_ss, feat_ss = np.random.SeedSequence(norm_seed(seed)).spawn(3)
@@ -74,25 +95,8 @@ def _gen(n: int, d: int, k: int, sigma2: float, edge_prob: float, seed: int) -> 
 
 
 def gen_stree(n: int = 1000, d: int = 10, k: int = 5, sigma2: float = 0.1, *, seed: int) -> SyntheticInstance:
-    """Random recursive tree instance; root is vertex 0, every edge goes id-up."""
-    return _gen(n, d, k, sigma2, 0.0, seed)
-
-
-def gen_sdag(
-    n: int = 1000,
-    d: int = 10,
-    k: int = 5,
-    sigma2: float = 0.1,
-    edge_prob: float = 0.01,
-    *,
-    seed: int,
-) -> SyntheticInstance:
-    """The tree instance plus independent Bernoulli forward pair edges.
-
-    Pair edges are drawn independently of the tree, so parallel duplicates
-    can occur; with edge_prob = 0 the instance equals `gen_stree(seed)`.
-    """
-    return _gen(n, d, k, sigma2, edge_prob, seed)
+    """The random recursive tree instance: `gen_sdag` with edge_prob = 0."""
+    return gen_sdag(n, d, k, sigma2, 0.0, seed=seed)
 
 
 def inject_noise(instance: SyntheticInstance, p: float, seed: int) -> SyntheticInstance:
@@ -153,9 +157,6 @@ def adjusted_rand_index(p: OrderedPartition, q: OrderedPartition) -> float:
     return numerator / denominator
 
 
-SWEEP_HEADER = ("p", "lambda_f", "lambda_b", "solver", "loss", "ari", "iterations", "seconds")
-
-
 @dataclass(frozen=True)
 class SweepRow:
     p: float
@@ -166,6 +167,9 @@ class SweepRow:
     ari: float
     iterations: int
     seconds: float
+
+
+SWEEP_HEADER = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 
 DEFAULT_PENALTIES = (Penalties(0.0, 0.0), Penalties(0.0, 1e5))
@@ -192,13 +196,11 @@ def run_noise_sweep(
     """
     if model not in ("tree", "dag"):
         raise ValueError(f"model must be 'tree' or 'dag', got {model!r}")
+    pair_prob = edge_prob if model == "dag" else 0.0
     rows: list[SweepRow] = []
     for p_index, p in enumerate(p_grid):
         inst_seed = int(np.random.SeedSequence([norm_seed(config.seed), p_index]).generate_state(1)[0])
-        if model == "tree":
-            inst = gen_stree(n, d, k, sigma2, seed=inst_seed)
-        else:
-            inst = gen_sdag(n, d, k, sigma2, edge_prob, seed=inst_seed)
+        inst = gen_sdag(n, d, k, sigma2, pair_prob, seed=inst_seed)
         noisy = inject_noise(inst, p, seed=inst_seed + 1)
         for pen in penalties_list:
             cell_config = dataclasses.replace(config, solver_kind=solver_kind, track_steps=False)
@@ -220,24 +222,12 @@ def run_noise_sweep(
     return rows
 
 
-def _csv_num(x: float) -> str:
-    return "inf" if math.isinf(x) else repr(float(x))
-
-
 def write_sweep_csv(rows: Sequence[SweepRow], stream: IO) -> None:
-    """Write sweep rows as CSV with the fixed header; empty input gives header only."""
+    """Write sweep rows as CSV with the fixed header; empty input gives header only.
+
+    Floats are written by `str`, which is their shortest round-trip form
+    (`repr`), with "inf" for an infinite loss or weight.
+    """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(SWEEP_HEADER)
-    for r in rows:
-        writer.writerow(
-            [
-                repr(float(r.p)),
-                _csv_num(r.lambda_f),
-                _csv_num(r.lambda_b),
-                r.solver,
-                _csv_num(r.loss),
-                repr(float(r.ari)),
-                r.iterations,
-                repr(float(r.seconds)),
-            ]
-        )
+    writer.writerows(dataclasses.astuple(r) for r in rows)

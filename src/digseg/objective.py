@@ -40,10 +40,6 @@ class Centroids:
     def k(self) -> int:
         return self.mu.shape[0]
 
-    @property
-    def d(self) -> int:
-        return self.mu.shape[1]
-
     def mu_for(self, group: int) -> np.ndarray:
         if not self.defined[group - 1]:
             raise ValueError(f"centroid of group {group} is undefined (empty group)")
@@ -407,7 +403,3 @@ class SolveState:
                 drift = max(drift, float((np.abs(mine - theirs) / denom).max()))
         return drift
 
-
-def move_delta(state: SolveState, v: int, target: int) -> float:
-    """Objective change of moving vertex v to group `target` (see SolveState.move_delta)."""
-    return state.move_delta(v, target)

@@ -132,11 +132,30 @@ def test_eval_rejects_duplicate_vertex_row(tmp_path, capsys):
     assert f"error: {pred}:4: duplicate row for vertex 1" in captured.err
 
 
+@pytest.mark.parametrize("row", ["x,1", "1,y"])
+def test_eval_names_file_and_line_of_a_non_integer(tmp_path, capsys, row):
+    truth = tmp_path / "t.truth"
+    truth.write_text("0,1\n1,2\n")
+    pred = tmp_path / "p.truth"
+    pred.write_text(f"# vertex,group\n0,1\n{row}\n")
+    assert run_cli("eval", "--pred", str(pred), "--truth", str(truth)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {pred}:3: non-integer vertex or group in {row!r}" in captured.err
+
+
 def test_synth_rejects_zero_clusters(tmp_path, capsys):
     prefix = str(tmp_path / "inst")
     assert run_cli("synth", "--model", "tree", "--n", "10", "--clusters", "0",
                    "--out-prefix", prefix) == 1
     assert "error: need k >= 1 clusters, got 0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_synth_refuses_a_dag_too_large_to_draw(tmp_path, capsys, no_pair_draw):
+    prefix = str(tmp_path / "inst")
+    assert run_cli("synth", "--model", "dag", "--n", "20000", "--out-prefix", prefix) == 1
+    assert "error: n=20000" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

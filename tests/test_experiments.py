@@ -48,6 +48,18 @@ def test_gen_sdag_zero_prob_equals_tree():
     assert np.array_equal(a.features.values, b.features.values)
 
 
+def test_gen_sdag_refuses_too_many_pairs_before_drawing(no_pair_draw):
+    # 8193 * 8192 / 2 pairs is just over 2^25; 8192 * 8191 / 2 is under it
+    with pytest.raises(ValueError, match=r"n=8193 .* 33554432 pairs"):
+        gen_sdag(n=8193, d=1, k=3, sigma2=0.1, edge_prob=0.01, seed=0)
+    with pytest.raises(ValueError, match="n=20000"):
+        gen_sdag(n=20000, d=1, k=5, sigma2=0.1, edge_prob=1e-6, seed=0)
+    with pytest.raises(AssertionError, match="pair flags drawn"):
+        gen_sdag(n=8192, d=1, k=4, sigma2=0.1, edge_prob=0.01, seed=0)
+    assert gen_stree(n=8193, d=1, k=3, sigma2=0.1, seed=0).graph.m == 8192
+    assert gen_sdag(n=8193, d=1, k=3, sigma2=0.1, edge_prob=0.0, seed=0).graph.m == 8192
+
+
 def test_gen_sdag_full_prob_edge_count():
     n = 20
     inst = gen_sdag(n=n, d=1, k=5, sigma2=0.0, edge_prob=1.0, seed=5)

@@ -127,24 +127,26 @@ def test_run_greedy_clears_infinite_backward_edges():
 
 
 def test_sweep_time_scales_linearly():
-    # doubling n should roughly double one scan's wall time
-    def one_scan_seconds(n: int) -> float:
-        inst = gen_stree(n=n, d=10, k=5, sigma2=0.05, seed=9)
-        pen = Penalties(0.0, 100.0)
-        rng = np.random.default_rng(1)
-        best = math.inf
-        for _ in range(3):
-            st = SolveState(inst.graph, inst.features, pen,
-                            rng.integers(1, 6, size=n), 5)
-            order = np.arange(n)
-            t0 = time.perf_counter()
-            sweep(st, order)
-            best = min(best, time.perf_counter() - t0)
-        return best
+    # doubling n should roughly double one scan's wall time; after one warm-up
+    # scan per size the sizes alternate round by round, so a slow stretch of
+    # the machine hits both, and the best time per size is kept
+    pen = Penalties(0.0, 100.0)
+    insts = {n: gen_stree(n=n, d=10, k=5, sigma2=0.05, seed=9) for n in (3000, 6000)}
+    starts = {n: np.random.default_rng(1).integers(1, 6, size=n) for n in insts}
 
-    t_small = one_scan_seconds(3000)
-    t_large = one_scan_seconds(6000)
-    ratio = t_large / t_small
+    def one_scan_seconds(n: int) -> float:
+        st = SolveState(insts[n].graph, insts[n].features, pen, starts[n], 5)
+        t0 = time.perf_counter()
+        sweep(st, np.arange(n))
+        return time.perf_counter() - t0
+
+    best = {}
+    for round_ in range(4):  # round 0 warms up
+        for n in insts:
+            t = one_scan_seconds(n)
+            if round_:
+                best[n] = min(best.get(n, math.inf), t)
+    ratio = best[6000] / best[3000]
     assert 1.5 <= ratio <= 3.0, f"scan time ratio {ratio:.2f} outside [1.5, 3.0]"
 
 

@@ -14,7 +14,6 @@ from digseg import (
     SolveState,
     coherence_l2,
     fixed_centroid_cost,
-    move_delta,
     total_cost,
     update_centroids,
 )
@@ -152,7 +151,7 @@ def test_move_delta_worked_example():
     g = DirectedGraph.from_edges(3, [])
     f = FeatureMatrix.from_array([[0.0], [1.0], [2.0]])
     st = SolveState(g, f, NOPEN, [1, 1, 2], 2)
-    assert abs(move_delta(st, 1, 2)) < 1e-12
+    assert abs(st.move_delta(1, 2)) < 1e-12
 
 
 def test_move_delta_involution():
