@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from digseg import (
     Centroids,
@@ -24,19 +26,29 @@ from digseg import (
 )
 from digseg.driver import random_init
 from digseg.greedy import run_greedy
+from digseg import mincut
 from digseg.mincut import FlowNetwork, pair_sweep, redistribute_pair
 from digseg.experiments import adjusted_rand_index, gen_stree, inject_noise
 from conftest import random_digraph, random_features, rel_close
 
 
-def brute_force_min_cut(net: FlowNetwork) -> float:
-    """Minimum over all 2^(n-2) source-side choices (independent route)."""
+def all_source_sides(net: FlowNetwork):
+    """Every one of the 2^(n-2) source sides (independent route)."""
     others = [x for x in range(net.num_nodes) if x not in (net.source, net.sink)]
-    best = math.inf
     for bits in itertools.product((False, True), repeat=len(others)):
-        side = {net.source} | {x for x, b in zip(others, bits) if b}
-        best = min(best, net.cut_weight(side))
-    return best
+        yield {net.source} | {x for x, b in zip(others, bits) if b}
+
+
+def brute_force_min_cut(net: FlowNetwork) -> float:
+    """Minimum over all 2^(n-2) source-side choices."""
+    return min(net.cut_weight(side) for side in all_source_sides(net))
+
+
+def plain_dinic(net: FlowNetwork) -> tuple[float, set[int]]:
+    """Dinic on the whole network, without the forced-node reduction."""
+    flags = mincut._dinic(net.num_nodes, net.source, net.sink, net.tails, net.heads, net.caps)
+    side = {v for v, on_source in enumerate(flags) if on_source}
+    return net.cut_weight(side), side
 
 
 def test_flow_two_arc_chain():
@@ -77,6 +89,67 @@ def test_flow_matches_brute_force():
         assert abs(net.cut_weight(side) - best) <= 1e-9
 
 
+def test_flow_side_is_the_union_of_all_minimum_cuts():
+    # integer capacities make exact ties common; the returned side must be the
+    # largest minimum cut, which is the union of every minimum cut's source side
+    rng = np.random.default_rng(58)
+    for _ in range(60):
+        n = int(rng.integers(3, 9))
+        tails, heads, caps = [], [], []
+        for _ in range(int(rng.integers(0, 18))):
+            u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
+            tails.append(u)
+            heads.append(v)
+            caps.append(float(rng.choice([0, 0, 1, 1, 2, 3, math.inf])))
+        net = FlowNetwork.from_arcs(n + 1, 0, n - 1, tails, heads, caps)  # node n has no arc
+        value, side = max_flow_min_cut(net)
+        weights = [(net.cut_weight(c), c) for c in all_source_sides(net)]
+        best = min(w for w, _ in weights)
+        assert value == best
+        assert side == set().union(*(c for w, c in weights if w == best))
+
+
+@hst.composite
+def flow_networks(draw):
+    """Random networks with parallel arcs, loops, sentinel arcs and capacities
+    whose folded sums pass 2^12."""
+    n = draw(hst.integers(2, 9))
+    ends = hst.integers(0, n - 1)
+    cap = hst.one_of(
+        hst.sampled_from([0.0, 0.0, 1.0, 2.0, 0.5, math.inf, 1e5, 5000.3]),
+        hst.floats(0.0, 3.0),
+        hst.floats(4000.0, 2e5),
+    )
+    arcs = draw(hst.lists(hst.tuples(ends, ends, cap), max_size=24))
+    source, sink = draw(hst.permutations(range(n)))[:2]
+    tails, heads, caps = zip(*arcs) if arcs else ((), (), ())
+    return FlowNetwork.from_arcs(n, source, sink, tails, heads, caps)
+
+
+@settings(max_examples=400, deadline=None)
+@given(flow_networks())
+def test_reduction_matches_plain_dinic(net):
+    value, side = max_flow_min_cut(net)
+    assert (value, side) == plain_dinic(net)
+
+
+def test_zero_weight_network_without_ties_needs_no_flow(monkeypatch):
+    # at zero weights every edge arc weighs 0, so each vertex's side follows
+    # from its two terminal arcs alone and Dinic is never entered
+    def refuse(*args):
+        raise AssertionError("Dinic entered")
+
+    rng = np.random.default_rng(59)
+    g = random_digraph(rng, 40, 120)
+    f = FeatureMatrix.from_array(rng.uniform(0.0, 1.0, size=(40, 1)))
+    net = build_cut_graph_k2(g, f, [0.0], [1.0], Penalties(0.0, 0.0))
+    expected = plain_dinic(net)
+    monkeypatch.setattr(mincut, "_dinic", refuse)
+    value, side = max_flow_min_cut(net)
+    assert (value, side) == expected
+    assert side - {net.source} == {v for v in range(40) if f.values[v, 0] < 0.5}
+
+
 def test_from_arcs_rejects_invalid_input():
     with pytest.raises(ValueError, match="NaN"):
         FlowNetwork.from_arcs(2, 0, 1, [0], [1], [math.nan])
@@ -88,6 +161,12 @@ def test_from_arcs_rejects_invalid_input():
         FlowNetwork.from_arcs(3, 0, 2, [0, 1], [1, 2], [1.0])
     with pytest.raises(ValueError, match="non-negative"):
         FlowNetwork.from_arcs(2, 0, 1, [0], [1], [-1.0])
+    with pytest.raises(ValueError, match="two different nodes"):
+        FlowNetwork.from_arcs(2, 0, 0, [0], [1], [1.0])
+    with pytest.raises(ValueError, match="two different nodes"):
+        FlowNetwork.from_arcs(2, 0, 5, [0], [1], [1.0])
+    with pytest.raises(ValueError, match="two different nodes"):
+        FlowNetwork.from_arcs(2, -1, 1, [0], [1], [1.0])
 
 
 def test_from_arcs_snaps_and_sums_the_sentinel_in_arc_order():
