@@ -272,6 +272,11 @@ class Penalties:
             if math.isnan(val) or val < 0:
                 raise ValueError(f"{name} must be a non-negative real or inf, got {val}")
 
+    @property
+    def is_zero(self) -> bool:
+        """Both weights are 0: the objective is plain clustering."""
+        return self.lambda_f == 0 and self.lambda_b == 0
+
     def split(self, forward, backward):
         """(count of infinitely weighted edges, finite penalty) of edge counts.
 
@@ -308,8 +313,9 @@ class Penalties:
         back to the finite part.  Elementwise like `cross_cost`.
         """
         inf_change, finite = self.split(d_forward, d_backward)
-        delta = np.where(inf_change > 0, math.inf, np.where(inf_change < 0, -math.inf, finite))
-        return _float_if_scalar(delta)
+        if math.isinf(self.lambda_f) or math.isinf(self.lambda_b):
+            finite = np.where(inf_change > 0, math.inf, np.where(inf_change < 0, -math.inf, finite))
+        return _float_if_scalar(np.asarray(finite, dtype=np.float64))
 
 
 def _float_if_scalar(x: np.ndarray):

@@ -152,7 +152,7 @@ def _run_phase(
 ) -> SolveResult:
     if config.solver_kind == "treedp":
         layout = treedp_mod.TreeLayout.from_graph(graph)  # rejects a non-forest first
-        if penalties.lambda_f == 0 and penalties.lambda_b == 0:
+        if penalties.is_zero:
             step = _nearest_step
         else:
             step = functools.partial(_tree_step, layout)
@@ -188,7 +188,7 @@ def run_iterative(
     """
     start = time.perf_counter()
     init = random_init(graph.n, k, config.seed)
-    if (penalties.lambda_f == 0 and penalties.lambda_b == 0) or k == 1 or graph.m == 0:
+    if penalties.is_zero or k == 1 or graph.m == 0:
         return _run_phase(graph, features, penalties, k, init, config)
     first_config = dataclasses.replace(config, track_steps=False)
     first = _run_phase(graph, features, Penalties(0.0, 0.0), k, init, first_config)

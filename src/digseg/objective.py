@@ -2,9 +2,9 @@
 
 The cost of an ordered partition is the sum over groups of the minimum total
 squared distance to a single center, plus lambda_f per forward cross edge and
-lambda_b per backward cross edge.  `SolveState` caches per-group running sums
-and the cross-edge counts; `SolveState.move_deltas` is the one place a move of
-single vertices is scored, and `apply_move` shares its edge arithmetic.
+lambda_b per backward cross edge.  `SolveState` keeps per-group running sums
+current on every move and recounts the cross edges only when a loss is read;
+`SolveState.move_deltas` is the one place a move of single vertices is scored.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -172,10 +173,13 @@ def _edge_matrix(k: int) -> np.ndarray:
 class SolveState:
     """Mutable partition state with cached group statistics.
 
-    Caches per-group member counts, feature sums and squared-norm sums plus
-    the two cross-edge counts.  `move_deltas` scores vertices' moves from them
-    and the graph's CSR rows in O(k d + deg v) per vertex; `apply_move`
-    keeps everything current.  Group-indexed arrays have k+1 rows with row 0
+    Caches per-group member counts, feature sums and squared-norm sums, which
+    `apply_move` keeps current in O(d).  `move_deltas` scores vertices' moves
+    from them and the graph's CSR rows in O(k d + deg v) per vertex.  The two
+    cross-edge counts are recounted in O(m) by `cross_edge_counts` the first
+    time a loss or count is read after a move, and kept until the next move;
+    `rebuild` fills them.  So every writer of `assign` must go through
+    `apply_move` or `rebuild`.  Group-indexed arrays have k+1 rows with row 0
     unused.  Single-owner mutable; not thread-safe.
     """
 
@@ -223,9 +227,24 @@ class SolveState:
             if idx.size:
                 self.sums[g] = self.values[idx].sum(axis=0)
                 self.group_sqnorm[g] = self.point_sqnorm[idx].sum()
-        self.fwd_count, self.bwd_count = cross_edge_counts(self.graph, self.assign)
+        self._edge_counts: Optional[tuple[int, int]] = cross_edge_counts(self.graph, self.assign)
 
     # -- queries ---------------------------------------------------------
+
+    @property
+    def edge_counts(self) -> tuple[int, int]:
+        """(forward, backward) cross-edge counts, recounted after a move."""
+        if self._edge_counts is None:
+            self._edge_counts = cross_edge_counts(self.graph, self.assign)
+        return self._edge_counts
+
+    @property
+    def fwd_count(self) -> int:
+        return self.edge_counts[0]
+
+    @property
+    def bwd_count(self) -> int:
+        return self.edge_counts[1]
 
     def _h_all(self, rows=slice(None)) -> np.ndarray:
         """|S_g| * ||mu_g||^2 = ||sum_g||^2 / |S_g| of every group, or of the groups in `rows`."""
@@ -240,11 +259,12 @@ class SolveState:
 
     def breakdown(self) -> CostBreakdown:
         coh = self.coherence()
+        fwd, bwd = self.edge_counts
         return CostBreakdown(
             coherence=coh,
-            forward_edges=self.fwd_count,
-            backward_edges=self.bwd_count,
-            total=coh + self.penalties.cross_cost(self.fwd_count, self.bwd_count),
+            forward_edges=fwd,
+            backward_edges=bwd,
+            total=coh + self.penalties.cross_cost(fwd, bwd),
         )
 
     def total(self) -> float:
@@ -256,7 +276,7 @@ class SolveState:
         Compares lexicographically where plain totals would degenerate to
         inf vs inf; equals (0, total) when both weights are finite.
         """
-        inf_edges, finite = self.penalties.split(self.fwd_count, self.bwd_count)
+        inf_edges, finite = self.penalties.split(*self.edge_counts)
         return inf_edges, self.coherence() + finite
 
     def centroids(self) -> Centroids:
@@ -299,11 +319,6 @@ class SolveState:
         ptr = np.concatenate(([0], np.cumsum(degree)))
         return ptr, np.concatenate(nbrs)[srt], key[srt]
 
-    def _edges_at(self, nbr_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(forward, backward) edge counts in each group 0..k from `_edge_matrix`-row counts."""
-        at = nbr_counts @ _edge_matrix(self.k)
-        return at[..., :self.k + 1], at[..., self.k + 1:]
-
     def move_deltas(
         self, vertices: np.ndarray, nbr: np.ndarray, key: np.ndarray, h: np.ndarray
     ) -> np.ndarray:
@@ -312,6 +327,8 @@ class SolveState:
         `nbr` and `key` are the vertices' `neighbor_layout`, `h` is `_h_all()`.
         Each entry moves one vertex alone against the current state; column 0
         and each vertex's own group are +inf, and infinite weights give +-inf.
+        With both weights 0 the entries are the coherence changes alone: the
+        edge term is skipped, since adding it would add only (signed) zeros.
         """
         k1 = self.k + 1
         rows = np.arange(vertices.size)
@@ -327,16 +344,17 @@ class SolveState:
         h_out = np.where(c_out > 0, sq_out / np.maximum(c_out, 1), 0.0)
         s_plus = sums[None, :, :] + a[:, None, :]
         h_plus = (s_plus * s_plus).sum(axis=2) / (counts + 1)
-        d_coh = (h[own] - h_out)[:, None] + (h[None, :] - h_plus)
+        delta = (h[own] - h_out)[:, None] + (h[None, :] - h_plus)
 
-        # cross-edge counts for every target: neighbor counts per (direction,
-        # group) from one bincount, then one product with the 0/1 edge matrix
-        nbr_counts = np.bincount(key + self.assign[nbr], minlength=vertices.size * 2 * k1)
-        fwd_at, bwd_at = self._edges_at(nbr_counts.reshape(vertices.size, 2 * k1))
-        dfwd = fwd_at - fwd_at[rows, own][:, None]
-        dbwd = bwd_at - bwd_at[rows, own][:, None]
-
-        delta = d_coh + self.penalties.cross_cost_delta(dfwd, dbwd)
+        if not self.penalties.is_zero:
+            # cross-edge counts for every target: neighbor counts per (direction,
+            # group) from one bincount, then one product with the 0/1 edge matrix
+            nbr_counts = np.bincount(key + self.assign[nbr], minlength=vertices.size * 2 * k1)
+            at = nbr_counts.reshape(vertices.size, 2 * k1) @ _edge_matrix(self.k)
+            fwd_at, bwd_at = at[:, :k1], at[:, k1:]
+            dfwd = fwd_at - fwd_at[rows, own][:, None]
+            dbwd = bwd_at - bwd_at[rows, own][:, None]
+            delta += self.penalties.cross_cost_delta(dfwd, dbwd)
         delta[:, 0] = np.inf
         delta[rows, own] = np.inf
         return delta
@@ -346,17 +364,6 @@ class SolveState:
             raise ValueError(f"vertex {v} out of range 0..{self.graph.n - 1}")
         if not (1 <= target <= self.k):
             raise ValueError(f"target group {target} out of range 1..{self.k}")
-
-    def edge_count_changes(self, v: int, target: int) -> tuple[int, int]:
-        """(d_forward, d_backward) if vertex v moved to `target`."""
-        self._check_move(v, target)
-        k1 = self.k + 1
-        groups = []
-        for (indptr, ids), side in ((self.graph.out_csr, 0), (self.graph.in_csr, k1)):
-            groups.append(self.assign[ids[indptr[v]:indptr[v + 1]]] + side)
-        fwd_at, bwd_at = self._edges_at(np.bincount(np.concatenate(groups), minlength=2 * k1))
-        i = self.assign[v]
-        return int(fwd_at[target] - fwd_at[i]), int(bwd_at[target] - bwd_at[i])
 
     def move_delta(self, v: int, target: int) -> float:
         """Objective change of moving v to group `target`; does not mutate.
@@ -371,8 +378,8 @@ class SolveState:
         return float(self.move_deltas(vs, nbr, key, self._h_all())[0, target])
 
     def apply_move(self, v: int, target: int) -> None:
-        """Commit the move of v to `target`, updating all caches in O(d + deg v)."""
-        dfwd, dbwd = self.edge_count_changes(v, target)  # checks v and target first
+        """Commit the move of v to `target` in O(d); the edge counts are recounted on read."""
+        self._check_move(v, target)
         i = int(self.assign[v])
         if target == i:
             return
@@ -383,9 +390,8 @@ class SolveState:
         self.counts[target] += 1
         self.group_sqnorm[i] -= self.point_sqnorm[v]
         self.group_sqnorm[target] += self.point_sqnorm[v]
-        self.fwd_count += dfwd
-        self.bwd_count += dbwd
         self.assign[v] = target
+        self._edge_counts = None
 
     # -- verification ----------------------------------------------------
 

@@ -234,6 +234,30 @@ def test_penalties_cross_cost_delta():
     assert both.cross_cost_delta(-1, 1) == 0.0  # net infinite count unchanged
 
 
+def _delta_by_formula(lam_f, lam_b, d_f, d_b):
+    """lambda_f*d_f + lambda_b*d_b, with an infinite weight's side counted apart."""
+    inf_change = (d_f if math.isinf(lam_f) else 0) + (d_b if math.isinf(lam_b) else 0)
+    if inf_change:
+        return math.inf if inf_change > 0 else -math.inf
+    return (0.0 if math.isinf(lam_f) else lam_f * d_f) + (0.0 if math.isinf(lam_b) else lam_b * d_b)
+
+
+@pytest.mark.parametrize("lam_f", [0.0, 0.1, 1e5, math.inf])
+@pytest.mark.parametrize("lam_b", [0.0, 0.1, 1e5, math.inf])
+def test_penalties_cross_cost_delta_equals_the_weighted_sum(lam_f, lam_b):
+    pen = Penalties(lam_f, lam_b)
+    rng = np.random.default_rng(5)
+    d_f = rng.integers(-4, 5, size=(6, 7))
+    d_b = rng.integers(-4, 5, size=(6, 7))
+    got = pen.cross_cost_delta(d_f, d_b)
+    assert got.dtype == np.float64 and got.shape == d_f.shape
+    for f, b, g in zip(d_f.ravel().tolist(), d_b.ravel().tolist(), got.ravel().tolist()):
+        want = _delta_by_formula(lam_f, lam_b, f, b)
+        assert g == want
+        for scalar in (pen.cross_cost_delta(f, b), pen.cross_cost_delta(np.int64(f), np.int64(b))):
+            assert type(scalar) is float and scalar == want
+
+
 def test_partition_validation():
     with pytest.raises(ValueError):
         OrderedPartition.from_labels(2, [0, 1])

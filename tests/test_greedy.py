@@ -193,14 +193,21 @@ def test_block_scan_matches_vertex_by_vertex_reference(problem):
     assert_scans_match(*problem)
 
 
-@pytest.mark.parametrize("lam_f, lam_b", [(0.0, 0.0), (0.0, 1e5), (0.1, 0.1), (0.0, math.inf)])
-def test_block_scan_matches_reference_on_a_large_instance(lam_f, lam_b):
+@pytest.mark.parametrize("lam_f, lam_b, continuous", [
+    pytest.param(*w, False, id=f"{w[0]}-{w[1]}")
+    for w in [(0.0, 0.0), (0.0, 1e5), (0.1, 0.1), (0.0, math.inf)]
+] + [
+    # without exact ties, so the zero-weight scores are compared bit for bit
+    pytest.param(*w, True, id=f"{w[0]}-{w[1]}-continuous") for w in [(0.0, 0.0), (0.0, 1e5)]
+])
+def test_block_scan_matches_reference_on_a_large_instance(lam_f, lam_b, continuous):
     # dense commits in the first scans, sparse ones in the last, where the
     # blocks grow to their 512-vertex cap
     rng = np.random.default_rng(66)
     n, k = 3000, 5
     graph = random_digraph(rng, n, 4 * n)
-    features = FeatureMatrix.from_array(rng.integers(-3, 4, size=(n, 4)))
+    values = rng.normal(size=(n, 4)) if continuous else rng.integers(-3, 4, size=(n, 4))
+    features = FeatureMatrix.from_array(values)
     orders = [rng.permutation(n) for _ in range(8)]
     assign = rng.integers(1, k + 1, size=n)
     assert_scans_match(graph, features, Penalties(lam_f, lam_b), assign, k, orders)

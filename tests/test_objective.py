@@ -17,6 +17,7 @@ from digseg import (
     total_cost,
     update_centroids,
 )
+from digseg.driver import _write_labels
 from digseg.objective import cross_edge_counts
 from conftest import (
     multigraphs,
@@ -275,23 +276,51 @@ def test_moves_reject_vertex_out_of_range_before_mutating(v):
         st.apply_move(v, 1)
     with pytest.raises(ValueError, match=f"vertex {v} out of range 0..2"):
         st.move_delta(v, 1)
-    with pytest.raises(ValueError, match=f"vertex {v} out of range 0..2"):
-        st.edge_count_changes(v, 1)
     _assert_unchanged(st, before)
 
 
 @settings(max_examples=300, deadline=None)
 @given(multigraphs(), hst.integers(0, 2), hst.integers(1, 5), hst.data())
-def test_edge_count_changes_equal_recounted_change(g, isolated, k, data):
+def test_cached_edge_counts_are_never_stale(g, isolated, k, data):
     # parallel edges and cycles come from `multigraphs`; `isolated` vertices
     # without edges are appended
     g = DirectedGraph.from_edges(g.n + isolated, np.column_stack((g.edge_src, g.edge_dst)))
-    labels = data.draw(hst.lists(hst.integers(1, k), min_size=g.n, max_size=g.n))
-    state = SolveState(g, FeatureMatrix.from_array(np.zeros((g.n, 1))), Penalties(1, 1), labels, k)
-    fwd, bwd = cross_edge_counts(g, state.assign)
-    for v in range(g.n):
-        for target in range(1, k + 1):
-            moved = state.assign.copy()
-            moved[v] = target
-            fwd_after, bwd_after = cross_edge_counts(g, moved)
-            assert state.edge_count_changes(v, target) == (fwd_after - fwd, bwd_after - bwd)
+    labels = hst.lists(hst.integers(1, k), min_size=g.n, max_size=g.n)
+    weights = hst.sampled_from([0.0, 0.5, math.inf])
+    pen = Penalties(data.draw(weights), data.draw(weights))
+    features = FeatureMatrix.from_array(
+        data.draw(hst.lists(hst.tuples(hst.integers(-3, 3)), min_size=g.n, max_size=g.n)))
+    state = SolveState(g, features, pen, data.draw(labels), k)
+    moves = hst.lists(hst.tuples(hst.integers(0, g.n - 1), hst.integers(1, k)), max_size=4)
+
+    def assert_fresh():
+        fresh = total_cost(g, features, state.partition(), pen)
+        counts = cross_edge_counts(g, state.assign)
+        assert (state.fwd_count, state.bwd_count) == counts
+        bd = state.breakdown()
+        assert (bd.forward_edges, bd.backward_edges) == counts
+        assert rel_close(bd.total, fresh.total)
+        inf_edges, finite = state.loss_parts()
+        fresh_inf, fresh_finite = pen.split(*counts)
+        assert inf_edges == fresh_inf
+        assert rel_close(finite, fresh.coherence + fresh_finite)
+
+    assert_fresh()
+    for op in data.draw(hst.lists(hst.sampled_from(["moves", "revert", "rebuild", "write"]),
+                                  max_size=8)):
+        if op == "moves":  # targets may be a vertex's own group
+            for v, target in data.draw(moves):
+                state.apply_move(v, target)
+        elif op == "revert":  # apply, read, then revert, as `pair_sweep` does
+            changed = data.draw(moves)
+            olds = [int(state.assign[v]) for v, _ in changed]
+            for v, target in changed:
+                state.apply_move(v, target)
+            state.loss_parts()
+            for (v, _), old in reversed(list(zip(changed, olds))):
+                state.apply_move(v, old)
+        elif op == "rebuild":
+            state.rebuild()
+        else:
+            _write_labels(state, np.array(data.draw(labels), dtype=np.int64), None)
+        assert_fresh()
