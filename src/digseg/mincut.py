@@ -1,8 +1,11 @@
 """Minimum s-t cut solvers: exact 2-group partitioning and the pairwise sweep.
 
-Placing a vertex on the source side of the cut network means group 1 (or the
-earlier group of a pair).  Terminal arc weights are squared distances to the
-*other* side's center, so every s-t cut weighs exactly the fixed-center
+One builder, `_pair_network`, lays out the cut network that splits the
+members of a group pair i < j between the two; the k = 2 network is the pair
+network of groups 1 and 2 with every vertex in the pair.  Placing a vertex on
+the source side of the cut means group i.  Terminal arc weights are squared
+distances to the *other* side's center, plus the weights of edges to the
+groups between the pair, so every s-t cut weighs exactly the fixed-center
 objective of the partition it induces; edge arcs carry lambda_f forward and
 lambda_b backward.  Infinite weights become a finite sentinel larger than any
 cut that avoids them.
@@ -10,7 +13,7 @@ cut that avoids them.
 `max_flow_min_cut` first fixes, exactly, every node whose side all minimum
 cuts agree on (its terminal surplus outweighs all its arcs to undecided
 nodes), folding the arcs of fixed nodes into their neighbours' terminal
-arcs, and runs Dinic only on the nodes left open.  Both cut builders go
+arcs, and runs Dinic only on the nodes left open.  Every cut network goes
 through it; at zero weights it decides every node that is not an exact tie,
 and at weights (0, 1e5) it leaves only a few percent of the nodes open.
 """
@@ -277,29 +280,55 @@ def _with_terminals(source_caps, sink_caps, tails, heads, caps):
     )
 
 
-def _cut_network(
-    to_sink_side,
-    to_source_side,
-    edge_tails: np.ndarray,
-    edge_heads: np.ndarray,
+def _pair_network(
+    graph: DirectedGraph,
+    values: np.ndarray,
+    assign: np.ndarray,
+    i: int,
+    j: int,
+    centers,
     penalties: Penalties,
-    node_labels: np.ndarray,
 ) -> FlowNetwork:
-    """Cut network over local nodes 0..len(node_labels)-1 with s, t next.
+    """Cut network that splits the vertices labelled i or j (i < j) between i and j.
 
-    Arcs in the order max-flow tie-breaking depends on: (s, v) at v's
-    sink-side price and (v, t) at its source-side price for each node v,
-    then (u, w) at lambda_f and (w, u) at lambda_b for each local edge.
+    They become nodes 0..m-1 in id order (`node_labels`), the source m and
+    the sink m + 1.  Arcs in the order max-flow tie-breaking depends on:
+    (s, v) at v's price of group j and (v, t) at its price of group i, for
+    each node v, then (u, w) at lambda_f and (w, u) at lambda_b for each
+    in-pair edge in edge order.  A price adds to the squared distance to the
+    group's center (a row of `centers`) the weight of v's edges to the groups
+    strictly between i and j; edges to other groups cost the same either way.
     """
-    nloc = node_labels.size
-    tails, heads, caps = _with_terminals(
-        to_sink_side, to_source_side,
-        _interleave(edge_tails, edge_heads), _interleave(edge_heads, edge_tails),
-        _interleave(np.full(edge_tails.size, penalties.lambda_f), penalties.lambda_b),
+    in_pair = (assign == i) | (assign == j)
+    between = (assign > i) & (assign < j)
+    members = np.flatnonzero(in_pair)
+    m = members.size
+    # rows of a FeatureMatrix are finite already: no from_array copy and check
+    costs = vertex_group_costs(FeatureMatrix(values[members]), Centroids.from_rows(centers))
+
+    local = np.full(graph.n, -1, dtype=np.int64)
+    local[members] = np.arange(m)
+    esrc, edst = graph.edge_src, graph.edge_dst
+    src_in_pair, dst_in_pair = in_pair[esrc], in_pair[edst]
+    # edges v -> W and W -> v for members v, W the groups strictly between i and j
+    out_to_w = np.bincount(local[esrc[src_in_pair & between[edst]]], minlength=m)
+    in_from_w = np.bincount(local[edst[between[esrc] & dst_in_pair]], minlength=m)
+
+    both = src_in_pair & dst_in_pair
+    tails, heads = local[esrc[both]], local[edst[both]]
+    arcs = _with_terminals(
+        costs[:, 1] + penalties.cross_cost(in_from_w, out_to_w),
+        costs[:, 0] + penalties.cross_cost(out_to_w, in_from_w),
+        _interleave(tails, heads), _interleave(heads, tails),
+        _interleave(np.full(tails.size, penalties.lambda_f), penalties.lambda_b),
     )
-    return FlowNetwork.from_arcs(
-        nloc + 2, nloc, nloc + 1, tails, heads, caps, node_labels=node_labels
-    )
+    return FlowNetwork.from_arcs(m + 2, m, m + 1, *arcs, node_labels=members)
+
+
+def _cut_labels(net: FlowNetwork, i: int, j: int) -> np.ndarray:
+    """Group i or j per vertex node of a pair network: i on the minimum cut's source side."""
+    _, side = max_flow_min_cut(net)
+    return np.where(net.on_source_side(side)[: net.node_labels.size], i, j)
 
 
 def build_cut_graph_k2(
@@ -311,15 +340,16 @@ def build_cut_graph_k2(
 ) -> FlowNetwork:
     """Cut network for exact 2-group partitioning of a whole graph.
 
-    Internal node v is graph vertex v; source = n, sink = n + 1.  The arc
+    The pair network of groups 1 and 2 with every vertex in the pair, so
+    internal node v is graph vertex v; source = n, sink = n + 1.  The arc
     (s, v) weighs the cost of assigning v to group 2, the arc (v, t) the cost
     of group 1; each graph edge (v, w) adds (v, w) at lambda_f and (w, v) at
     lambda_b.
     """
-    costs = vertex_group_costs(features, Centroids.from_rows([mu1, mu2]))
-    return _cut_network(
-        costs[:, 1], costs[:, 0], graph.edge_src, graph.edge_dst, penalties,
-        np.arange(graph.n, dtype=np.int64),
+    if features.n != graph.n:
+        raise ValueError("feature row count does not match graph vertex count")
+    return _pair_network(
+        graph, features.values, np.ones(graph.n, dtype=np.int64), 1, 2, [mu1, mu2], penalties
     )
 
 
@@ -337,9 +367,7 @@ def solve_two_partition(
     placement is cost-neutral land in group 1.
     """
     net = build_cut_graph_k2(graph, features, mu1, mu2, penalties)
-    _, side = max_flow_min_cut(net)
-    assign = np.where(net.on_source_side(side)[: graph.n], 1, 2)
-    partition = OrderedPartition.from_labels(2, assign)
+    partition = OrderedPartition.from_labels(2, _cut_labels(net, 1, 2))
     cost = fixed_centroid_cost(graph, features, partition, Centroids.from_rows([mu1, mu2]), penalties)
     return partition, cost
 
@@ -348,36 +376,16 @@ def build_cut_graph_pair(state: SolveState, i: int, j: int) -> FlowNetwork:
     """Cut network that redistributes the members of groups i and j (i < j).
 
     Only those vertices appear as internal nodes (`node_labels` maps them
-    back), and both groups need a defined center.  Terminal weights gain
-    corrections for edges to the groups strictly between i and j: such an
-    edge is backward on one side of the choice and forward on the other.
-    Edges to groups outside (i, j) cost the same either way and are omitted.
-    Arc weights come from `state.penalties`.
+    back), and both groups need a defined center.  Their terminal arcs also
+    price the edges to the groups strictly between i and j, and arc weights
+    come from `state.penalties`.
     """
     if not (1 <= i < j <= state.k):
         raise ValueError(f"expected 1 <= i < j <= {state.k}, got ({i}, {j})")
-    assign = state.assign
-    in_pair = (assign == i) | (assign == j)
-    between = (assign > i) & (assign < j)
-    members = np.flatnonzero(in_pair)
     cents = state.centroids()
-    pair_cents = Centroids.from_rows([cents.mu_for(i), cents.mu_for(j)])
-    costs = vertex_group_costs(FeatureMatrix.from_array(state.values[members]), pair_cents)
-
-    local = np.full(state.graph.n, -1, dtype=np.int64)
-    local[members] = np.arange(members.size)
-    esrc, edst = state.graph.edge_src, state.graph.edge_dst
-    src_in_pair, dst_in_pair = in_pair[esrc], in_pair[edst]
-    # edges v -> W and W -> v for members v
-    out_to_w = np.bincount(local[esrc[src_in_pair & between[edst]]], minlength=members.size)
-    in_from_w = np.bincount(local[edst[between[esrc] & dst_in_pair]], minlength=members.size)
-
-    pen = state.penalties
-    both = src_in_pair & dst_in_pair
-    return _cut_network(
-        costs[:, 1] + pen.cross_cost(in_from_w, out_to_w),  # price of the sink side (group j)
-        costs[:, 0] + pen.cross_cost(out_to_w, in_from_w),  # price of the source side (group i)
-        local[esrc[both]], local[edst[both]], pen, members,
+    return _pair_network(
+        state.graph, state.values, state.assign, i, j,
+        [cents.mu_for(i), cents.mu_for(j)], state.penalties,
     )
 
 
@@ -390,10 +398,7 @@ def redistribute_pair(state: SolveState, i: int, j: int) -> Optional[tuple[np.nd
     if state.counts[i] == 0 or state.counts[j] == 0:
         return None
     net = build_cut_graph_pair(state, i, j)
-    members = net.node_labels
-    _, side = max_flow_min_cut(net)
-    targets = np.where(net.on_source_side(side)[: members.size], i, j)
-    return members, targets
+    return net.node_labels, _cut_labels(net, i, j)
 
 
 def pair_sweep(state: SolveState, step_log: Optional[list[float]] = None) -> int:

@@ -238,14 +238,6 @@ class SolveState:
             self._edge_counts = cross_edge_counts(self.graph, self.assign)
         return self._edge_counts
 
-    @property
-    def fwd_count(self) -> int:
-        return self.edge_counts[0]
-
-    @property
-    def bwd_count(self) -> int:
-        return self.edge_counts[1]
-
     def _h_all(self, rows=slice(None)) -> np.ndarray:
         """|S_g| * ||mu_g||^2 = ||sum_g||^2 / |S_g| of every group, or of the groups in `rows`."""
         s, c = self.sums[rows], self.counts[rows]
@@ -400,7 +392,7 @@ class SolveState:
         fresh = SolveState(self.graph, self.features, self.penalties, self.assign, self.k)
         if not np.array_equal(self.counts, fresh.counts):
             return math.inf
-        if (self.fwd_count, self.bwd_count) != (fresh.fwd_count, fresh.bwd_count):
+        if self.edge_counts != fresh.edge_counts:
             return math.inf
         drift = 0.0
         for mine, theirs in ((self.sums, fresh.sums), (self.group_sqnorm, fresh.group_sqnorm)):

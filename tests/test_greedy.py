@@ -184,7 +184,7 @@ def assert_scans_match(graph, features, pen, assign, k, orders):
         for name in ("assign", "counts", "sums", "group_sqnorm"):
             a, b = getattr(ours, name), getattr(ref, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-        assert (ours.fwd_count, ours.bwd_count) == (ref.fwd_count, ref.bwd_count)
+        assert ours.edge_counts == ref.edge_counts
 
 
 @settings(max_examples=300, deadline=None)

@@ -252,7 +252,7 @@ def _move_fixture():
 
 def _caches(st):
     return (st.assign.copy(), st.counts.copy(), st.sums.copy(), st.group_sqnorm.copy(),
-            st.fwd_count, st.bwd_count)
+            st.edge_counts)
 
 
 def _assert_unchanged(st, before):
@@ -296,7 +296,7 @@ def test_cached_edge_counts_are_never_stale(g, isolated, k, data):
     def assert_fresh():
         fresh = total_cost(g, features, state.partition(), pen)
         counts = cross_edge_counts(g, state.assign)
-        assert (state.fwd_count, state.bwd_count) == counts
+        assert state.edge_counts == counts
         bd = state.breakdown()
         assert (bd.forward_edges, bd.backward_edges) == counts
         assert rel_close(bd.total, fresh.total)
