@@ -8,7 +8,7 @@ k, and greedy local search; all run under an alternating driver with random
 restarts.
 """
 
-from .config import SolveConfig, SolveResult
+from .config import SolveConfig, SolveResult, alternate
 from .core import (
     DirectedGraph,
     EdgeListError,
@@ -31,13 +31,12 @@ from .experiments import (
     run_noise_sweep,
     write_sweep_csv,
 )
-from .greedy import best_move, run_greedy
+from .greedy import best_move
 from .mincut import (
     FlowNetwork,
     build_cut_graph_k2,
     build_cut_graph_pair,
     max_flow_min_cut,
-    run_mcut,
     solve_two_partition,
 )
 from .objective import (
@@ -72,6 +71,7 @@ __all__ = [
     "SyntheticInstance",
     "TreeLayout",
     "adjusted_rand_index",
+    "alternate",
     "best_move",
     "brute_force_dgs",
     "brute_force_fixed_centroids",
@@ -91,9 +91,7 @@ __all__ = [
     "multi_restart",
     "random_init",
     "repair_empty_groups",
-    "run_greedy",
     "run_iterative",
-    "run_mcut",
     "run_noise_sweep",
     "solve_tree_partition",
     "solve_two_partition",

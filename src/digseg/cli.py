@@ -106,7 +106,11 @@ def _read_assignment(path: str) -> OrderedPartition:
     with open(path, "r", encoding="utf-8") as f:
         content = f.read()
     if content.lstrip().startswith("{"):
-        arr = np.asarray(json.loads(content)["assignment"], dtype=np.int64)
+        labels = json.loads(content).get("assignment")
+        # bool is an int subclass, and numpy would truncate floats
+        if not isinstance(labels, list) or not all(type(g) is int for g in labels):
+            raise ValueError(f'{path}: "assignment" must be a list of integers')
+        arr = np.asarray(labels, dtype=np.int64)
     else:
         pairs = {}
         for lineno, line in _content_lines(content):

@@ -1,12 +1,12 @@
 """Alternating optimization driver: two-phase start, solver dispatch, restarts.
 
-Every solver runs the one alternating loop, `config.alternate`, with its own
-partition step: an exact tree solve (`_tree_step` below), a pairwise cut
-sweep (`mincut.run_mcut`) or a greedy scan (`greedy.run_greedy`).  With both
-weights at 0 the tree solver's step is `_nearest_step` instead: each vertex
-to its nearest center, the tree DP's answer at zero weights up to exact ties
-between centers, without filling its tables.  Empty groups are reseeded
-before partition steps that need every center defined.
+Every solver runs the one alternating loop, `config.alternate`, with the
+partition step `_run_phase` picks: an exact tree solve (`_tree_step` below),
+a pairwise cut sweep (`mincut.sweep_step`) or a greedy scan
+(`greedy.scan_step`).  With both weights at 0 the tree solver's step is
+`_nearest_step` instead: each vertex to its nearest center, the tree DP's
+answer at zero weights up to exact ties between centers, without filling its
+tables.  Empty groups are reseeded before the tree and pair-cut steps.
 
 A restart runs in two phases.  The first clusters with both weights at 0
 (plain clustering, the problem's unordered special case) from a seeded
@@ -146,22 +146,20 @@ def _run_phase(
     graph: DirectedGraph,
     features: FeatureMatrix,
     penalties: Penalties,
-    k: int,
     init: OrderedPartition,
     config: SolveConfig,
 ) -> SolveResult:
+    repair = repair_empty_groups  # looked up per call, like the steps, so patches reach every run
     if config.solver_kind == "treedp":
         layout = treedp_mod.TreeLayout.from_graph(graph)  # rejects a non-forest first
-        if penalties.is_zero:
-            step = _nearest_step
-        else:
-            step = functools.partial(_tree_step, layout)
-        return alternate(graph, features, penalties, init, config, step, repair_empty_groups)
-    if config.solver_kind == "mcut":
-        return mincut_mod.run_mcut(
-            graph, features, penalties, k, init, config, _repair=repair_empty_groups
-        )
-    return greedy_mod.run_greedy(graph, features, penalties, k, init, config)
+        step = _nearest_step if penalties.is_zero else functools.partial(_tree_step, layout)
+    elif config.solver_kind == "mcut":
+        if init.k < 2:
+            raise ValueError(f"the pairwise cut solver needs k >= 2, got {init.k}")
+        step = mincut_mod.sweep_step
+    else:
+        step, repair = greedy_mod.scan_step(config.seed), None
+    return alternate(graph, features, penalties, init, config, step, repair)
 
 
 def run_iterative(
@@ -189,11 +187,11 @@ def run_iterative(
     start = time.perf_counter()
     init = random_init(graph.n, k, config.seed)
     if penalties.is_zero or k == 1 or graph.m == 0:
-        return _run_phase(graph, features, penalties, k, init, config)
+        return _run_phase(graph, features, penalties, init, config)
     first_config = dataclasses.replace(config, track_steps=False)
-    first = _run_phase(graph, features, Penalties(0.0, 0.0), k, init, first_config)
+    first = _run_phase(graph, features, Penalties(0.0, 0.0), init, first_config)
     ordered = order_groups(graph, penalties, first.partition)
-    second = _run_phase(graph, features, penalties, k, ordered, config)
+    second = _run_phase(graph, features, penalties, ordered, config)
     return dataclasses.replace(
         second,
         iterations=first.iterations + second.iterations,

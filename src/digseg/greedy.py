@@ -6,6 +6,7 @@ best move to another group as soon as it lowers the loss by more than
 against the groups as all earlier commits left them.  Moves are scored by
 `SolveState.move_deltas`, the one definition of a move's loss change; this
 module adds only the policy: which target is best and when a move commits.
+`scan_step(seed)` is the scan as the partition step `config.alternate` runs.
 
 The scan scores a block of upcoming vertices in one numpy evaluation against
 the state as it stands.  Up to and including the first vertex of the block
@@ -25,8 +26,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import DirectedGraph, FeatureMatrix, OrderedPartition, Penalties
-from .config import COMMIT_TOL, SolveConfig, SolveResult, alternate, iteration_rng
+from .config import COMMIT_TOL, Step, iteration_rng
 from .objective import SolveState
 
 REVALIDATE_EVERY = 64  # full cache rebuild cadence, bounds running-sum drift
@@ -112,28 +112,18 @@ def sweep(state: SolveState, order, step_log: Optional[list[float]] = None) -> i
     return commits
 
 
-def run_greedy(
-    graph: DirectedGraph,
-    features: FeatureMatrix,
-    penalties: Penalties,
-    k: int,
-    init: OrderedPartition,
-    config: SolveConfig,
-) -> SolveResult:
-    """Greedy local search from the given initial partition.
+def scan_step(seed: int) -> Step:
+    """The greedy partition step of `config.alternate` for a run seeded `seed`.
 
-    Each iteration of `alternate` is one scan in a fresh random order derived
-    from the run seed; every `REVALIDATE_EVERY` scans the caches are rebuilt.
-    Empty groups are legal and are never reseeded.
+    Iteration `it` scans every vertex once in the order
+    `iteration_rng(seed, it).permutation(n)`, and every `REVALIDATE_EVERY`
+    scans rebuilds the caches.  Empty groups are legal and never reseeded.
     """
-    if init.k != k or init.n != graph.n:
-        raise ValueError("initial partition does not match the instance")
 
     def step(state: SolveState, it: int, step_log: Optional[list[float]]) -> int:
-        order = iteration_rng(config.seed, it).permutation(graph.n)
-        commits = sweep(state, order, step_log)
+        commits = sweep(state, iteration_rng(seed, it).permutation(state.graph.n), step_log)
         if it % REVALIDATE_EVERY == 0:
             state.rebuild()
         return commits
 
-    return alternate(graph, features, penalties, init, config, step)
+    return step

@@ -1,4 +1,4 @@
-"""Minimum s-t cut solvers: exact 2-group partitioning and the pairwise sweep.
+"""Minimum s-t cut solvers: exact 2-group partitioning and the pairwise sweep step.
 
 One builder, `_pair_network`, lays out the cut network that splits the
 members of a group pair i < j between the two; the k = 2 network is the pair
@@ -7,8 +7,9 @@ the source side of the cut means group i.  Terminal arc weights are squared
 distances to the *other* side's center, plus the weights of edges to the
 groups between the pair, so every s-t cut weighs exactly the fixed-center
 objective of the partition it induces; edge arcs carry lambda_f forward and
-lambda_b backward.  Infinite weights become a finite sentinel larger than any
-cut that avoids them.
+lambda_b backward.  Each infinitely weighted edge costs a finite sentinel
+above all finite parts together, so a minimum cut has the fewest such edges,
+then the lowest finite part.
 
 `max_flow_min_cut` first fixes, exactly, every node whose side all minimum
 cuts agree on (its terminal surplus outweighs all its arcs to undecided
@@ -22,12 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .core import DirectedGraph, FeatureMatrix, OrderedPartition, Penalties, _csr
-from .config import COMMIT_TOL, SolveConfig, SolveResult, alternate
+from .config import COMMIT_TOL
 from .objective import Centroids, SolveState, fixed_centroid_cost, vertex_group_costs
 
 GRID_SCALE = 2.0**40
@@ -41,10 +42,11 @@ class FlowNetwork:
     Arc a runs from `tails[a]` to `heads[a]` with capacity `caps[a]`: parallel
     int64 and float64 arrays in arc order.  Capacities are finite and
     non-negative.  `from_arcs` rounds finite inputs below 2^12 to the 2^-40
-    grid (larger floats already sit on it) and replaces infinite ones by the
-    sentinel, one plus the finite capacities summed in arc order (plain
-    left-to-right float addition, the same on every Python version).
-    `node_labels` maps internal vertex nodes back to graph vertex ids.
+    grid (larger floats already sit on it) and adds the sentinel once per
+    infinitely weighted edge an arc carries (`inf_counts`; an infinite
+    capacity counts as one).  The sentinel is one plus the finite parts summed
+    in arc order (plain left-to-right float addition, the same on every Python
+    version).  `node_labels` maps internal vertex nodes back to graph vertex ids.
     """
 
     num_nodes: int
@@ -66,10 +68,15 @@ class FlowNetwork:
         heads,
         caps,
         node_labels=None,
+        inf_counts=None,
     ) -> "FlowNetwork":
         tails = np.array(tails, dtype=np.int64)
         heads = np.array(heads, dtype=np.int64)
         caps = np.array(caps, dtype=np.float64)
+        if inf_counts is not None:
+            inf_counts = np.asarray(inf_counts, dtype=np.int64)
+            if inf_counts.shape != caps.shape or (inf_counts.size and inf_counts.min() < 0):
+                raise ValueError("inf_counts must hold one non-negative count per arc")
         if not (0 <= source < num_nodes and 0 <= sink < num_nodes and source != sink):
             raise ValueError(
                 f"source and sink must be two different nodes in 0..{num_nodes - 1}, "
@@ -89,7 +96,11 @@ class FlowNetwork:
         infinite = np.isinf(caps)
         # plain left-to-right addition: sum() compensates from Python 3.12 on
         sentinel = 1.0 + float(np.cumsum(np.append(0.0, caps[~infinite]))[-1])
-        caps[infinite] = sentinel
+        if inf_counts is None:
+            caps[infinite] = sentinel
+        else:
+            caps[infinite] = 0.0
+            caps += (inf_counts + infinite) * sentinel
         labels = None if node_labels is None else np.asarray(node_labels, dtype=np.int64)
         return cls(num_nodes, source, sink, tails, heads, caps, sentinel, labels)
 
@@ -297,7 +308,8 @@ def _pair_network(
     each node v, then (u, w) at lambda_f and (w, u) at lambda_b for each
     in-pair edge in edge order.  A price adds to the squared distance to the
     group's center (a row of `centers`) the weight of v's edges to the groups
-    strictly between i and j; edges to other groups cost the same either way.
+    strictly between i and j, its infinitely weighted ones counted in
+    `inf_counts`; edges to other groups cost the same either way.
     """
     in_pair = (assign == i) | (assign == j)
     between = (assign > i) & (assign < j)
@@ -316,13 +328,18 @@ def _pair_network(
 
     both = src_in_pair & dst_in_pair
     tails, heads = local[esrc[both]], local[edst[both]]
+    to_j_count, to_j = penalties.split(in_from_w, out_to_w)
+    to_i_count, to_i = penalties.split(out_to_w, in_from_w)
     arcs = _with_terminals(
-        costs[:, 1] + penalties.cross_cost(in_from_w, out_to_w),
-        costs[:, 0] + penalties.cross_cost(out_to_w, in_from_w),
+        costs[:, 1] + to_j, costs[:, 0] + to_i,
         _interleave(tails, heads), _interleave(heads, tails),
         _interleave(np.full(tails.size, penalties.lambda_f), penalties.lambda_b),
     )
-    return FlowNetwork.from_arcs(m + 2, m, m + 1, *arcs, node_labels=members)
+    counts = None
+    if penalties.lambda_f + penalties.lambda_b == np.inf:  # only an infinite weight has counts
+        counts = np.zeros(arcs[2].size, dtype=np.int64)
+        counts[: 2 * m] = _interleave(to_j_count, to_i_count)
+    return FlowNetwork.from_arcs(m + 2, m, m + 1, *arcs, node_labels=members, inf_counts=counts)
 
 
 def _cut_labels(net: FlowNetwork, i: int, j: int) -> np.ndarray:
@@ -440,28 +457,11 @@ def pair_sweep(state: SolveState, step_log: Optional[list[float]] = None) -> int
     return commits
 
 
-def _sweep_step(state: SolveState, it: int, step_log: Optional[list[float]]) -> int:
-    state.rebuild()  # clear running-sum drift before the sweep
-    return pair_sweep(state, step_log)
+def sweep_step(state: SolveState, it: int, step_log: Optional[list[float]]) -> int:
+    """The pair-cut partition step of `config.alternate`: rebuild, then `pair_sweep`.
 
-
-def run_mcut(
-    graph: DirectedGraph,
-    features: FeatureMatrix,
-    penalties: Penalties,
-    k: int,
-    init: OrderedPartition,
-    config: SolveConfig,
-    _repair: Optional[Callable[[SolveState], object]] = None,
-) -> SolveResult:
-    """Pairwise cut search from the given initial partition.
-
-    Each iteration of `alternate` is one full pair sweep.  Pairs with an
-    empty (undefined-center) side are skipped; the iterative driver reseeds
-    empty groups between sweeps.
+    The rebuild clears running-sum drift.  Pairs with an empty side are
+    skipped; the driver reseeds empty groups before each step.
     """
-    if k < 2:
-        raise ValueError(f"the pairwise cut solver needs k >= 2, got {k}")
-    if init.k != k or init.n != graph.n:
-        raise ValueError("initial partition does not match the instance")
-    return alternate(graph, features, penalties, init, config, _sweep_step, _repair)
+    state.rebuild()
+    return pair_sweep(state, step_log)

@@ -35,7 +35,7 @@ from digseg import (
     total_cost,
     update_centroids,
 )
-from digseg.config import norm_seed
+from digseg.config import alternate, norm_seed
 from digseg.mincut import FlowNetwork
 from digseg.treedp import check_arborescence
 from conftest import random_arborescence, random_digraph, random_features, rel_close
@@ -151,8 +151,8 @@ def test_criterion_4_committed_steps_monotone():
     # the standalone solver loops never touch the state between commits, so
     # successive recorded totals measure exactly the committed steps
     from digseg.driver import random_init
-    from digseg.greedy import run_greedy
-    from digseg.mincut import run_mcut
+    from digseg.greedy import scan_step
+    from digseg.mincut import sweep_step
 
     t0 = time.perf_counter()
     violations = 0
@@ -164,8 +164,8 @@ def test_criterion_4_committed_steps_monotone():
             pen = Penalties(0.0, 1e5) if i % 2 == 0 else Penalties(0.5, 2.0)
             init = random_init(inst.graph.n, 5, i)
             cfg = SolveConfig(solver_kind="greedy", restarts=1, seed=i, track_steps=True)
-            for runner in (run_greedy, run_mcut):
-                res = runner(inst.graph, inst.features, pen, 5, init, cfg)
+            for step in (scan_step(i), sweep_step):
+                res = alternate(inst.graph, inst.features, pen, init, cfg, step)
                 losses = res.step_losses or []
                 diffs = np.diff(losses)
                 steps += len(losses)

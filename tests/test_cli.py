@@ -132,6 +132,18 @@ def test_eval_rejects_duplicate_vertex_row(tmp_path, capsys):
     assert f"error: {pred}:4: duplicate row for vertex 1" in captured.err
 
 
+@pytest.mark.parametrize("labels", ["null", '{"0": 1}', '"12"', "[1.5, 2]", "[true, 2]", "[1, null]"])
+def test_eval_rejects_a_json_assignment_that_is_not_a_list_of_integers(tmp_path, capsys, labels):
+    truth = tmp_path / "t.truth"
+    truth.write_text("0,1\n1,2\n")
+    pred = tmp_path / "p.json"
+    pred.write_text(f'{{"assignment": {labels}}}\n')
+    assert run_cli("eval", "--pred", str(pred), "--truth", str(truth)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f'error: {pred}: "assignment" must be a list of integers' in captured.err
+
+
 @pytest.mark.parametrize("row", ["x,1", "1,y"])
 def test_eval_names_file_and_line_of_a_non_integer(tmp_path, capsys, row):
     truth = tmp_path / "t.truth"

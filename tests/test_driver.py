@@ -16,13 +16,14 @@ from digseg import (
     multi_restart,
     random_init,
     repair_empty_groups,
-    run_greedy,
     run_iterative,
-    run_mcut,
     total_cost,
 )
+from digseg import driver
 from digseg.config import alternate
-from digseg.driver import _nearest_step, _tree_step, order_groups
+from digseg.driver import _nearest_step, _run_phase, _tree_step, order_groups
+from digseg.greedy import scan_step
+from digseg.mincut import sweep_step
 from digseg.experiments import gen_stree
 from digseg.treedp import TreeLayout
 from conftest import random_digraph, random_features, rel_close
@@ -195,6 +196,36 @@ def test_mcut_via_driver_requires_k2():
         run_iterative(g, f, Penalties(0, 0), 1, SolveConfig(solver_kind="mcut", seed=0))
 
 
+@pytest.mark.parametrize("run", [run_iterative, multi_restart], ids=["run_iterative", "multi_restart"])
+def test_mcut_requires_k_at_least_two(run):
+    g = DirectedGraph.from_edges(2, [(0, 1)])
+    f = FeatureMatrix.from_array([[0.0], [1.0]])
+    with pytest.raises(ValueError, match="k >= 2"):
+        run(g, f, Penalties(0, 0), 1, SolveConfig(solver_kind="mcut"))
+
+
+@pytest.mark.parametrize("pen", [Penalties(0.0, 0.0), Penalties(0.5, 2.0)], ids=["zero", "weighted"])
+@pytest.mark.parametrize("kind, repairs", [("treedp", True), ("mcut", True), ("greedy", False)])
+def test_run_phase_repairs_empty_groups_for_tree_and_cut_steps_only(kind, repairs, pen, monkeypatch):
+    # the driver looks the repair up when a phase runs, so a patched module
+    # attribute sees every call
+    calls = []
+
+    def counting_repair(state):
+        calls.append(state.empty_groups())
+        return repair_empty_groups(state)
+
+    monkeypatch.setattr(driver, "repair_empty_groups", counting_repair)
+    rng = np.random.default_rng(81)
+    g = DirectedGraph.from_edges(30, [(int(rng.integers(0, v)), v) for v in range(1, 30)])
+    f = random_features(rng, 30, 2)
+    init = OrderedPartition.from_labels(3, rng.integers(1, 3, size=30))  # group 3 empty
+    _run_phase(g, f, pen, init, SolveConfig(solver_kind=kind, seed=2))
+    assert bool(calls) == repairs
+    if repairs:
+        assert calls[0] == [3]
+
+
 def test_order_groups_acyclic_group_graph_is_topological():
     rng = np.random.default_rng(78)
     for _ in range(20):
@@ -233,10 +264,10 @@ def test_run_iterative_zero_weights_is_one_phase_from_random_init():
     g = random_digraph(rng, 30, 60)
     f = random_features(rng, 30, 2)
     pen = Penalties(0.0, 0.0)
-    for kind, runner in (("greedy", run_greedy), ("mcut", run_mcut)):
+    for kind, step in (("greedy", scan_step(8)), ("mcut", sweep_step)):
         cfg = SolveConfig(solver_kind=kind, seed=8, track_steps=True)
         a = run_iterative(g, f, pen, 3, cfg)
-        b = runner(g, f, pen, 3, random_init(30, 3, 8), cfg)
+        b = alternate(g, f, pen, random_init(30, 3, 8), cfg, step)
         assert np.array_equal(a.partition.assign, b.partition.assign)
         assert a.breakdown == b.breakdown
         assert a.iterations == b.iterations and a.converged == b.converged

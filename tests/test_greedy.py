@@ -13,10 +13,10 @@ from digseg import (
     Penalties,
     SolveConfig,
     SolveState,
+    alternate,
     best_move,
-    run_greedy,
 )
-from digseg.greedy import sweep
+from digseg.greedy import scan_step, sweep
 from digseg.experiments import gen_stree
 from conftest import random_digraph, random_state, rel_close, sse_of_partition
 import greedy_reference
@@ -73,7 +73,7 @@ def test_run_greedy_zero_penalties_reaches_kmeans_local_optimum():
     g = DirectedGraph.from_edges(n, [])
     f = FeatureMatrix.from_array(rng.normal(0, 1, (n, d)))
     init = OrderedPartition.from_labels(k, rng.integers(1, k + 1, size=n))
-    res = run_greedy(g, f, NOPEN, k, init, SolveConfig(seed=0))
+    res = alternate(g, f, NOPEN, init, SolveConfig(seed=0), scan_step(0))
     assert res.converged
     sse = sse_of_partition(res.partition.assign, f.values.tolist())
     assert rel_close(res.breakdown.total, sse)
@@ -89,7 +89,7 @@ def test_run_greedy_fixed_point_returns_after_one_scan():
     g = DirectedGraph.from_edges(4, [])
     f = FeatureMatrix.from_array([[0.0], [0.0], [9.0], [9.0]])
     init = OrderedPartition.from_labels(2, [1, 1, 2, 2])
-    res = run_greedy(g, f, NOPEN, 2, init, SolveConfig(seed=1))
+    res = alternate(g, f, NOPEN, init, SolveConfig(seed=1), scan_step(1))
     assert res.converged and res.iterations == 1
     assert np.array_equal(res.partition.assign, init.assign)
 
@@ -100,7 +100,7 @@ def test_run_greedy_commits_strictly_decrease():
     inst = gen_stree(n=200, d=4, k=4, sigma2=0.05, seed=st_seed)
     init = OrderedPartition.from_labels(4, rng.integers(1, 5, size=200))
     cfg = SolveConfig(seed=3, track_steps=True)
-    res = run_greedy(inst.graph, inst.features, Penalties(0.0, 10.0), 4, init, cfg)
+    res = alternate(inst.graph, inst.features, Penalties(0.0, 10.0), init, cfg, scan_step(3))
     losses = res.step_losses
     assert losses and len(losses) > 5
     assert (np.diff(losses) < 0).all()
@@ -121,7 +121,7 @@ def test_run_greedy_clears_infinite_backward_edges():
     inst = gen_stree(n=60, d=3, k=3, sigma2=0.02, seed=2)
     pen = Penalties(0.0, math.inf)
     init = OrderedPartition.from_labels(3, rng.integers(1, 4, size=60))
-    res = run_greedy(inst.graph, inst.features, pen, 3, init, SolveConfig(seed=0))
+    res = alternate(inst.graph, inst.features, pen, init, SolveConfig(seed=0), scan_step(0))
     assert res.breakdown.backward_edges == 0
     assert math.isfinite(res.breakdown.total)
 
