@@ -101,15 +101,24 @@ def _result_payload(graph, k, penalties, algo, result, seconds) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
 def _read_assignment(path: str) -> OrderedPartition:
     """Read group labels from a result JSON or a 'vertex,group' text file."""
     with open(path, "r", encoding="utf-8") as f:
         content = f.read()
     if content.lstrip().startswith("{"):
-        labels = json.loads(content).get("assignment")
+        try:
+            labels = json.loads(content).get("assignment")
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: malformed JSON: {exc}") from None
         # bool is an int subclass, and numpy would truncate floats
         if not isinstance(labels, list) or not all(type(g) is int for g in labels):
             raise ValueError(f'{path}: "assignment" must be a list of integers')
+        for g in labels:
+            if not _INT64_MIN <= g <= _INT64_MAX:
+                raise ValueError(f"{path}: group {g} does not fit in a 64-bit integer")
         arr = np.asarray(labels, dtype=np.int64)
     else:
         pairs = {}
@@ -121,6 +130,8 @@ def _read_assignment(path: str) -> OrderedPartition:
                 vid, group = int(tokens[0]), int(tokens[1])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-integer vertex or group in {line!r}")
+            if not _INT64_MIN <= group <= _INT64_MAX:
+                raise ValueError(f"{path}:{lineno}: group {group} does not fit in a 64-bit integer")
             if vid in pairs:
                 raise ValueError(f"{path}:{lineno}: duplicate row for vertex {vid}")
             pairs[vid] = group

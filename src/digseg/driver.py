@@ -2,7 +2,7 @@
 
 Every solver runs the one alternating loop, `config.alternate`, with the
 partition step `_run_phase` picks: an exact tree solve (`_tree_step` below),
-a pairwise cut sweep (`mincut.sweep_step`) or a greedy scan
+a pairwise cut sweep (`mincut.sweep_step()`) or a greedy scan
 (`greedy.scan_step`).  With both weights at 0 the tree solver's step is
 `_nearest_step` instead: each vertex to its nearest center, the tree DP's
 answer at zero weights up to exact ties between centers, without filling its
@@ -156,7 +156,7 @@ def _run_phase(
     elif config.solver_kind == "mcut":
         if init.k < 2:
             raise ValueError(f"the pairwise cut solver needs k >= 2, got {init.k}")
-        step = mincut_mod.sweep_step
+        step = mincut_mod.sweep_step()
     else:
         step, repair = greedy_mod.scan_step(config.seed), None
     return alternate(graph, features, penalties, init, config, step, repair)

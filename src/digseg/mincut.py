@@ -17,6 +17,18 @@ nodes), folding the arcs of fixed nodes into their neighbours' terminal
 arcs, and runs Dinic only on the nodes left open.  Every cut network goes
 through it; at zero weights it decides every node that is not an exact tie,
 and at weights (0, 1e5) it leaves only a few percent of the nodes open.
+The reduction stops as soon as no node is open, since a further round could
+not change a side.
+
+`sweep_step()` keeps, for each pair (i, j), the inputs of the pair's last
+cut and its result, and reuses the result while the same `SolveState`
+comes back with those inputs unchanged, bit for bit.  The inputs are each
+vertex's band (in group i or j, in a group strictly between, or elsewhere:
+all a pair network reads of the labels) and the two centers, as
+`SolveState.centroids` divides them from the running sums.  Given the
+state's graph, features and penalties the network is a pure function of
+these, so a reused result is the one a new cut would return.  A step handed
+a different state forgets what it kept.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DirectedGraph, FeatureMatrix, OrderedPartition, Penalties, _csr
-from .config import COMMIT_TOL
+from .config import COMMIT_TOL, Step
 from .objective import Centroids, SolveState, fixed_centroid_cost, vertex_group_costs
 
 GRID_SCALE = 2.0**40
@@ -116,7 +128,10 @@ class FlowNetwork:
 
     def cut_weight(self, source_side) -> float:
         """Total capacity of arcs leaving the given source side."""
-        side = self.on_source_side(source_side)
+        return self._leaving(self.on_source_side(source_side))
+
+    def _leaving(self, side: np.ndarray) -> float:
+        """Total capacity of arcs leaving the nodes flagged in `side`, summed in arc order."""
         crossing = side[self.tails] & ~side[self.heads]
         return float(self.caps[crossing].sum())
 
@@ -130,8 +145,8 @@ def max_flow_min_cut(net: FlowNetwork) -> tuple[float, set[int]]:
     exceeds its arcs to open nodes lowers any cut by joining the source side,
     so every minimum cut puts it there; symmetrically for the sink side.
     Fixed nodes fold their arcs into their open neighbours' terminal
-    capacities, and the tests repeat until no node changes.  Exact ties stay
-    open.  Dinic's algorithm (BFS level graph + pointer-based blocking flow)
+    capacities, and the tests repeat until no node changes or none is open.
+    Exact ties stay open.  Dinic's algorithm (BFS level graph + pointer-based blocking flow)
     then settles the open nodes, and is skipped when none is left.  The
     source side is the complement of the nodes that can still reach the sink
     in the final residual network, i.e. the largest minimum cut; among cost
@@ -152,8 +167,8 @@ def max_flow_min_cut(net: FlowNetwork) -> tuple[float, set[int]]:
             local[net.tails[inner]], local[net.heads[inner]], net.caps[inner],
         )
         fixed[open_nodes] = np.where(_dinic(m + 2, m, m + 1, *arcs)[:m], 1, -1)
-    side = set(np.flatnonzero(fixed > 0).tolist())
-    return net.cut_weight(side), side
+    on_source = fixed > 0
+    return net._leaving(on_source), set(np.flatnonzero(on_source).tolist())
 
 
 def _fix_forced_nodes(net: FlowNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -186,6 +201,8 @@ def _fix_forced_nodes(net: FlowNetwork) -> tuple[np.ndarray, np.ndarray, np.ndar
             return fixed, from_source, to_sink
         fixed[to_source_side] = 1
         fixed[to_sink_side] = -1
+        if fixed.all():  # nothing open: a further round cannot change a side
+            return fixed, from_source, to_sink
 
 
 def _dinic(
@@ -274,7 +291,10 @@ def _dinic(
 
 def _interleave(a, b) -> np.ndarray:
     """a[0], b[0], a[1], b[1], ...; a scalar stands for a constant array."""
-    return np.stack(np.broadcast_arrays(a, b), axis=1).ravel()
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(2 * (a.size if a.ndim else b.size), dtype=np.result_type(a, b))
+    out[0::2], out[1::2] = a, b
+    return out
 
 
 def _with_terminals(source_caps, sink_caps, tails, heads, caps):
@@ -418,7 +438,37 @@ def redistribute_pair(state: SolveState, i: int, j: int) -> Optional[tuple[np.nd
     return net.node_labels, _cut_labels(net, i, j)
 
 
-def pair_sweep(state: SolveState, step_log: Optional[list[float]] = None) -> int:
+def _pair_bands(assign: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Per vertex: 1 in group i or j, 2 in a group strictly between, 0 elsewhere."""
+    bands = ((assign > i) & (assign < j)).astype(np.int8) * 2
+    bands[(assign == i) | (assign == j)] = 1
+    return bands
+
+
+def _pair_cut(state: SolveState, i: int, j: int, cuts: dict):
+    """`redistribute_pair(state, i, j)`, or the pair's last result while its inputs are unchanged.
+
+    `cuts[(i, j)]` holds the bytes of the bands and both centers the pair's
+    last cut read, and which members that cut put in group i; equal bytes
+    give the same network.
+    """
+    if state.counts[i] == 0 or state.counts[j] == 0:
+        return None
+    pair = [i, j]
+    centers = state.sums[pair] / state.counts[pair, None]  # the division `centroids` makes
+    bands = _pair_bands(state.assign, i, j)
+    key = bands.tobytes() + centers.tobytes()
+    last = cuts.get((i, j))
+    if last is not None and last[0] == key:
+        return np.flatnonzero(bands == 1), np.where(last[1], i, j)
+    members, targets = redistribute_pair(state, i, j)
+    cuts[(i, j)] = (key, targets == i)
+    return members, targets
+
+
+def pair_sweep(
+    state: SolveState, step_log: Optional[list[float]] = None, cuts: Optional[dict] = None
+) -> int:
     """One pass over all group pairs in lexicographic order.
 
     Each pair's redistribution is committed only if it strictly lowers the
@@ -426,12 +476,15 @@ def pair_sweep(state: SolveState, step_log: Optional[list[float]] = None) -> int
     oscillation); under an infinite weight, shedding infinitely-penalized
     edges counts as an improvement even though both totals print as inf.
     Centers refresh implicitly from the running sums after each commit.
+    `cuts` keeps each pair's last cut for reuse on this same state (see the
+    module docstring); a fresh dict, the default, cuts every pair anew.
     Returns the number of committed pair steps.
     """
+    cuts = {} if cuts is None else cuts
     commits = 0
     for i in range(1, state.k):
         for j in range(i + 1, state.k + 1):
-            result = redistribute_pair(state, i, j)
+            result = _pair_cut(state, i, j, cuts)
             if result is None:
                 continue
             members, targets = result
@@ -457,11 +510,23 @@ def pair_sweep(state: SolveState, step_log: Optional[list[float]] = None) -> int
     return commits
 
 
-def sweep_step(state: SolveState, it: int, step_log: Optional[list[float]]) -> int:
+def sweep_step() -> Step:
     """The pair-cut partition step of `config.alternate`: rebuild, then `pair_sweep`.
 
     The rebuild clears running-sum drift.  Pairs with an empty side are
-    skipped; the driver reseeds empty groups before each step.
+    skipped; the driver reseeds empty groups before each step.  The step
+    keeps each pair's last cut across iterations for the state it last ran
+    on, and forgets them all when it is handed a different state.
     """
-    state.rebuild()
-    return pair_sweep(state, step_log)
+    cuts: dict = {}
+    owner: Optional[SolveState] = None
+
+    def step(state: SolveState, it: int, step_log: Optional[list[float]]) -> int:
+        nonlocal owner
+        if state is not owner:
+            cuts.clear()
+            owner = state
+        state.rebuild()
+        return pair_sweep(state, step_log, cuts)
+
+    return step

@@ -164,7 +164,7 @@ def test_criterion_4_committed_steps_monotone():
             pen = Penalties(0.0, 1e5) if i % 2 == 0 else Penalties(0.5, 2.0)
             init = random_init(inst.graph.n, 5, i)
             cfg = SolveConfig(solver_kind="greedy", restarts=1, seed=i, track_steps=True)
-            for step in (scan_step(i), sweep_step):
+            for step in (scan_step(i), sweep_step()):
                 res = alternate(inst.graph, inst.features, pen, init, cfg, step)
                 losses = res.step_losses or []
                 diffs = np.diff(losses)

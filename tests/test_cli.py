@@ -156,6 +156,40 @@ def test_eval_names_file_and_line_of_a_non_integer(tmp_path, capsys, row):
     assert f"error: {pred}:3: non-integer vertex or group in {row!r}" in captured.err
 
 
+def test_eval_names_the_file_of_malformed_json(tmp_path, capsys):
+    truth = tmp_path / "t.truth"
+    truth.write_text("0,1\n1,2\n")
+    pred = tmp_path / "p.json"
+    pred.write_text('{"assignment": [1, 2,]}\n')
+    assert run_cli("eval", "--pred", str(pred), "--truth", str(truth)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {pred}: malformed JSON: " in captured.err
+
+
+@pytest.mark.parametrize("label", ["99999999999999999999", "-99999999999999999999"])
+def test_eval_rejects_a_json_label_beyond_int64(tmp_path, capsys, label):
+    truth = tmp_path / "t.truth"
+    truth.write_text("0,1\n1,2\n")
+    pred = tmp_path / "p.json"
+    pred.write_text(f'{{"assignment": [1, {label}]}}\n')
+    assert run_cli("eval", "--pred", str(pred), "--truth", str(truth)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {pred}: group {label} does not fit in a 64-bit integer" in captured.err
+
+
+def test_eval_names_file_and_line_of_a_text_label_beyond_int64(tmp_path, capsys):
+    truth = tmp_path / "t.truth"
+    truth.write_text("0,1\n1,2\n")
+    pred = tmp_path / "p.truth"
+    pred.write_text("0,1\n1,99999999999999999999\n")
+    assert run_cli("eval", "--pred", str(pred), "--truth", str(truth)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {pred}:2: group 99999999999999999999 does not fit in a 64-bit integer" in captured.err
+
+
 def test_synth_rejects_zero_clusters(tmp_path, capsys):
     prefix = str(tmp_path / "inst")
     assert run_cli("synth", "--model", "tree", "--n", "10", "--clusters", "0",

@@ -264,7 +264,7 @@ def test_run_iterative_zero_weights_is_one_phase_from_random_init():
     g = random_digraph(rng, 30, 60)
     f = random_features(rng, 30, 2)
     pen = Penalties(0.0, 0.0)
-    for kind, step in (("greedy", scan_step(8)), ("mcut", sweep_step)):
+    for kind, step in (("greedy", scan_step(8)), ("mcut", sweep_step())):
         cfg = SolveConfig(solver_kind=kind, seed=8, track_steps=True)
         a = run_iterative(g, f, pen, 3, cfg)
         b = alternate(g, f, pen, random_init(30, 3, 8), cfg, step)

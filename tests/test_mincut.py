@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -24,12 +25,12 @@ from digseg import (
     total_cost,
     update_centroids,
 )
-from digseg.driver import random_init
+from digseg.driver import random_init, repair_empty_groups
 from digseg.greedy import scan_step
 from digseg import mincut
 from digseg.mincut import FlowNetwork, pair_sweep, redistribute_pair, sweep_step
 from digseg.objective import cross_edge_counts
-from digseg.experiments import adjusted_rand_index, gen_stree, inject_noise
+from digseg.experiments import adjusted_rand_index, gen_sdag, gen_stree, inject_noise
 from conftest import random_digraph, random_features, rel_close
 
 
@@ -415,7 +416,7 @@ def test_run_mcut_k2_matches_manual_alternation():
     f = random_features(rng, 12, 2)
     pen = Penalties(0.2, 3.0)
     init = random_init(12, 2, 5)
-    res = alternate(g, f, pen, init, SolveConfig(solver_kind="mcut", seed=5), sweep_step)
+    res = alternate(g, f, pen, init, SolveConfig(solver_kind="mcut", seed=5), sweep_step())
 
     state = SolveState.from_partition(g, f, pen, init)
     for _ in range(100):
@@ -450,7 +451,7 @@ def test_run_mcut_fixed_point_on_optimal_init():
     g = DirectedGraph.from_edges(4, [(0, 1), (2, 3)])
     f = FeatureMatrix.from_array([[0.0], [0.0], [10.0], [10.0]])
     init = OrderedPartition.from_labels(2, [1, 1, 2, 2])
-    res = alternate(g, f, Penalties(0.0, 1.0), init, SolveConfig(solver_kind="mcut"), sweep_step)
+    res = alternate(g, f, Penalties(0.0, 1.0), init, SolveConfig(solver_kind="mcut"), sweep_step())
     assert res.converged and res.iterations == 1
     assert np.array_equal(res.partition.assign, init.assign)
 
@@ -461,7 +462,7 @@ def test_run_mcut_monotone_committed_steps():
     f = random_features(rng, 60, 3)
     pen = Penalties(0.5, 4.0)
     cfg = SolveConfig(solver_kind="mcut", seed=3, track_steps=True)
-    res = alternate(g, f, pen, random_init(60, 4, 3), cfg, sweep_step)
+    res = alternate(g, f, pen, random_init(60, 4, 3), cfg, sweep_step())
     losses = res.step_losses
     assert losses is not None and len(losses) >= 1
     assert (np.diff(losses) <= 1e-7).all()
@@ -484,7 +485,7 @@ def test_mcut_beats_greedy_on_structured_instances():
     for seed in range(5):
         inst = gen_stree(n=100, d=10, k=5, sigma2=0.01, seed=seed)
         noisy = inject_noise(inst, 0.2, seed=seed + 50)
-        if best_loss(lambda r: sweep_step, noisy) <= best_loss(scan_step, noisy) + 1e-9:
+        if best_loss(lambda r: sweep_step(), noisy) <= best_loss(scan_step, noisy) + 1e-9:
             wins += 1
     assert wins >= 4
 
@@ -496,6 +497,102 @@ def test_run_mcut_clears_infinite_backward_edges():
     inst = gen_stree(n=60, d=3, k=3, sigma2=0.02, seed=2)
     pen = Penalties(0.0, math.inf)
     init = OrderedPartition.from_labels(3, rng.integers(1, 4, size=60))
-    res = alternate(inst.graph, inst.features, pen, init, SolveConfig(solver_kind="mcut"), sweep_step)
+    res = alternate(inst.graph, inst.features, pen, init, SolveConfig(solver_kind="mcut"), sweep_step())
     assert res.breakdown.backward_edges == 0
     assert math.isfinite(res.breakdown.total)
+
+
+def fresh_cuts_step(state, it, step_log):
+    """The pair-cut step without reuse: every pair is cut anew."""
+    state.rebuild()
+    return pair_sweep(state, step_log, {})
+
+
+def counting_builds(monkeypatch):
+    calls = [0]
+    build = mincut.build_cut_graph_pair
+
+    def counted(*args):
+        calls[0] += 1
+        return build(*args)
+
+    monkeypatch.setattr(mincut, "build_cut_graph_pair", counted)
+    return calls
+
+
+REUSE_WEIGHTS = [(0.0, 0.0), (0.0, 1e5), (0.5, 2.0), (2.0, 0.5), (0.0, math.inf), (math.inf, math.inf)]
+
+
+@pytest.mark.parametrize("model", ["dag", "tree"])
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_pair_cut_reuse_is_exact(model, k):
+    # the reusing step and one that cuts every pair anew run the same sweeps,
+    # through the driver's empty-group repair, so every float must agree
+    seed = 30 + k
+    gen = gen_stree if model == "tree" else functools.partial(gen_sdag, edge_prob=0.02)
+    inst = inject_noise(gen(n=120, d=3, k=k, sigma2=0.05, seed=seed), 0.3, seed=seed)
+    for lf, lb in REUSE_WEIGHTS:
+        pen = Penalties(lf, lb)
+        init = random_init(120, k, seed)
+        cfg = SolveConfig(solver_kind="mcut", seed=seed, track_steps=True)
+        reused, fresh = [
+            alternate(inst.graph, inst.features, pen, init, cfg, step, repair_empty_groups)
+            for step in (sweep_step(), fresh_cuts_step)
+        ]
+        assert reused.iterations == fresh.iterations and reused.converged == fresh.converged
+        assert np.array_equal(reused.partition.assign, fresh.partition.assign)
+        assert reused.step_losses == fresh.step_losses
+        assert reused.breakdown == fresh.breakdown
+
+
+def test_pair_cut_reuse_skips_builds(monkeypatch):
+    calls = counting_builds(monkeypatch)
+    inst = gen_sdag(n=300, d=3, k=5, sigma2=0.05, edge_prob=0.02, seed=21)
+    pen = Penalties(0.0, 1e5)
+    init = random_init(300, 5, 21)
+    cfg = SolveConfig(solver_kind="mcut", seed=21, track_steps=True)
+    counts = []
+    results = []
+    for step in (sweep_step(), fresh_cuts_step):
+        calls[0] = 0
+        results.append(alternate(inst.graph, inst.features, pen, init, cfg, step))
+        counts.append(calls[0])
+    assert results[0].step_losses == results[1].step_losses
+    assert 0 < counts[0] < counts[1]
+
+
+def test_pair_cut_step_forgets_cuts_of_another_state(monkeypatch):
+    # two states with bit-equal labels and centers but different weights: no
+    # cut kept from the first may be reused for the second
+    calls = counting_builds(monkeypatch)
+    rng = np.random.default_rng(58)
+    g = random_digraph(rng, 40, 90)
+    f = random_features(rng, 40, 2)
+    labels = rng.integers(1, 5, size=40)
+    assert set(labels.tolist()) == {1, 2, 3, 4}
+    step = sweep_step()
+    step(SolveState(g, f, Penalties(0.0, 0.0), labels, 4), 1, None)
+    second = SolveState(g, f, Penalties(0.0, math.inf), labels, 4)
+    reference = SolveState(g, f, Penalties(0.0, math.inf), labels, 4)
+    calls[0] = 0
+    commits = step(second, 1, None)
+    assert calls[0] == 6  # each of the 4 * 3 / 2 pairs is cut anew for the second state
+    assert commits == fresh_cuts_step(reference, 1, None)
+    assert np.array_equal(second.assign, reference.assign)
+
+
+def test_pair_cut_step_sees_a_move_into_a_group_between():
+    # moving x from group 4 to group 2 leaves the centers of groups 1 and 3
+    # as they were, but makes c's edge from x cheaper with c in group 1
+    g = DirectedGraph.from_edges(8, [(6, 2)])  # x = 6, c = 2
+    f = FeatureMatrix.from_array([[0.0], [0.0], [10.0], [10.0], [5.0], [5.0], [5.0], [5.0]])
+    pen = Penalties(1000.0, 0.0)
+    labels = [1, 1, 3, 3, 2, 2, 4, 4]
+    state = SolveState(g, f, pen, labels, 4)
+    step = sweep_step()
+    assert step(state, 1, None) == 0
+    state.apply_move(6, 2)
+    reference = SolveState(g, f, pen, state.assign, 4)
+    assert step(state, 2, None) == fresh_cuts_step(reference, 2, None) == 1
+    assert state.assign[2] == 1
+    assert np.array_equal(state.assign, reference.assign)
