@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -11,10 +10,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import DirectedGraph, FeatureMatrix, OrderedPartition, Penalties
-from .objective import CostBreakdown, SolveState, total_cost
+from .objective import CostBreakdown, LossKey, SolveState, total_cost
 
 SOLVER_KINDS = ("greedy", "treedp", "mcut")
-REL_TOL = 1e-9  # the loop stops once a step improves the loss by less than this, relatively
+REL_TOL = 1e-9  # the loop stops once a step improves the finite part by less than this, relatively
 COMMIT_TOL = 1e-9  # a partition step commits only improvements larger than this
 
 
@@ -46,7 +45,7 @@ class SolveResult:
     converged: bool
     seed: int
     seconds: float
-    step_losses: Optional[list[float]] = None
+    step_losses: Optional[list[LossKey]] = None
 
 
 def norm_seed(seed: int) -> int:
@@ -59,17 +58,17 @@ def iteration_rng(seed: int, iteration: int) -> np.random.Generator:
     return np.random.default_rng((norm_seed(seed), iteration))
 
 
-def small_improvement(old: float, new: float) -> bool:
-    """True when the relative loss improvement falls below `REL_TOL`.
+def small_improvement(old: LossKey, new: LossKey) -> bool:
+    """False only when the loss key `new` improves enough on `old`.
 
-    Losses can span orders of magnitude, so the improvement is scaled by
-    max(old, 1).  Two infinite losses are incomparable here (progress may
-    still be happening in the count of infinitely-penalized edges), so the
-    loop keeps going until it stops committing moves.
+    A key improves when its count of infinitely weighted edges falls, or
+    when the count is equal and the finite part falls by at least `REL_TOL`
+    relatively: losses can span orders of magnitude, so the fall is scaled
+    by max(old finite part, 1).
     """
-    if math.isinf(old):
-        return False
-    return (old - new) / max(old, 1.0) < REL_TOL
+    if new[0] != old[0]:
+        return new[0] > old[0]
+    return (old[1] - new[1]) / max(old[1], 1.0) < REL_TOL
 
 
 def finish_result(
@@ -81,7 +80,7 @@ def finish_result(
     converged: bool,
     seed: int,
     seconds: float,
-    step_losses: Optional[list[float]] = None,
+    step_losses: Optional[list[LossKey]] = None,
 ) -> SolveResult:
     """Assemble a result with the breakdown recomputed from scratch."""
     return SolveResult(
@@ -95,7 +94,7 @@ def finish_result(
     )
 
 
-Step = Callable[[SolveState, int, Optional[list[float]]], int]
+Step = Callable[[SolveState, int, Optional[list[LossKey]]], int]
 
 
 def alternate(
@@ -113,18 +112,20 @@ def alternate(
     one is given and some group is empty, then calls `step(state, it,
     step_log)`: a partition step against the centers of the current groups
     (read from `state`'s running sums), which moves vertices in `state` and
-    returns how many changes it committed, appending the loss after each
-    commit to `step_log` when `config.track_steps` is set.  Neither the
-    center update nor any step increases the loss, so the logged losses are
-    non-increasing.  The loop stops, converged, once a step commits nothing
-    or the relative loss improvement falls below `REL_TOL`, and
-    otherwise after `config.max_iters` iterations.  The result's breakdown
-    is recomputed from scratch.
+    returns how many changes it committed, appending the loss key
+    (`CostBreakdown.key`) after each commit to `step_log` when
+    `config.track_steps` is set.  Neither the center update nor any step
+    increases the key, so the logged keys are non-increasing between
+    repairs; a repair moves vertices without regard to the loss and may
+    raise it.  The loop stops, converged, once a step commits nothing or the
+    key does not improve (`small_improvement`), and otherwise after
+    `config.max_iters` iterations.  The result's breakdown is recomputed
+    from scratch.
     """
     start = time.perf_counter()
     state = SolveState.from_partition(graph, features, penalties, init)
-    step_log: Optional[list[float]] = [] if config.track_steps else None
-    loss = state.total()
+    step_log: Optional[list[LossKey]] = [] if config.track_steps else None
+    loss = state.breakdown().key
     converged = False
     iterations = 0
     for it in range(1, config.max_iters + 1):
@@ -132,7 +133,7 @@ def alternate(
         if repair is not None and state.empty_groups():
             repair(state)
         changes = step(state, it, step_log)
-        new_loss = state.total()
+        new_loss = state.breakdown().key
         if changes == 0 or small_improvement(loss, new_loss):
             converged = True
             break

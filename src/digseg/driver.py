@@ -39,7 +39,7 @@ from . import mincut as mincut_mod
 from . import treedp as treedp_mod
 from .config import SolveConfig, SolveResult, alternate, norm_seed
 from .core import DirectedGraph, FeatureMatrix, OrderedPartition, Penalties
-from .objective import SolveState, vertex_group_costs
+from .objective import LossKey, SolveState, vertex_group_costs
 
 
 def random_init(n: int, k: int, seed: int) -> OrderedPartition:
@@ -74,7 +74,7 @@ def repair_empty_groups(state: SolveState) -> SolveState:
         state.apply_move(v, empties[0])
 
 
-def _write_labels(state: SolveState, labels: np.ndarray, step_log: Optional[list[float]]) -> int:
+def _write_labels(state: SolveState, labels: np.ndarray, step_log: Optional[list[LossKey]]) -> int:
     """Set `state`'s labels to `labels`, rebuilding once; returns how many changed."""
     changed = labels != state.assign
     changes = int(changed.sum())
@@ -82,7 +82,7 @@ def _write_labels(state: SolveState, labels: np.ndarray, step_log: Optional[list
         state.assign[changed] = labels[changed]
         state.rebuild()
         if step_log is not None:
-            step_log.append(state.total())
+            step_log.append(state.breakdown().key)
     return changes
 
 
@@ -90,7 +90,7 @@ def _tree_step(
     layout: treedp_mod.TreeLayout,
     state: SolveState,
     it: int,
-    step_log: Optional[list[float]],
+    step_log: Optional[list[LossKey]],
 ) -> int:
     """Exact tree partition against the current centers, written into `state`."""
     new_part, _ = treedp_mod.solve_tree_partition(
@@ -99,7 +99,7 @@ def _tree_step(
     return _write_labels(state, new_part.assign, step_log)
 
 
-def _nearest_step(state: SolveState, it: int, step_log: Optional[list[float]]) -> int:
+def _nearest_step(state: SolveState, it: int, step_log: Optional[list[LossKey]]) -> int:
     """Each vertex to its nearest current center, ties to the lowest group.
 
     This is the exact fixed-center step when both weights are 0 (Lloyd's
@@ -211,11 +211,10 @@ def multi_restart(
 
     Each run is one two-phase `run_iterative` call, so the returned result's
     `iterations` and `seconds` count both of its phases, and its
-    `step_losses` only the weighted one.  Returns the run with the fewest
-    infinitely weighted cross edges, then the lowest finite loss, then the
-    lowest seed (for finite weights: the minimum total, ties to the lower
-    seed); deterministic for a fixed configuration whether run serially or
-    with process parallelism (`threads` > 1).
+    `step_losses` only the weighted one.  Returns the run with the least
+    loss key (`CostBreakdown.key`), ties to the lowest seed (for finite
+    weights: the minimum total); deterministic for a fixed configuration
+    whether run serially or with process parallelism (`threads` > 1).
     """
     configs = [config.with_seed(config.seed + r) for r in range(config.restarts)]
     run = functools.partial(run_iterative, graph, features, penalties, k)
@@ -224,10 +223,4 @@ def multi_restart(
             results = list(pool.map(run, configs))
     else:
         results = list(map(run, configs))
-
-    def key(r: SolveResult) -> tuple[int, float, int]:
-        b = r.breakdown
-        inf_edges, finite = penalties.split(b.forward_edges, b.backward_edges)
-        return inf_edges, b.coherence + finite, r.seed
-
-    return min(results, key=key)
+    return min(results, key=lambda r: (*r.breakdown.key, r.seed))

@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .config import COMMIT_TOL, Step, iteration_rng
-from .objective import SolveState
+from .objective import LossKey, SolveState
 
 REVALIDATE_EVERY = 64  # full cache rebuild cadence, bounds running-sum drift
 MIN_BLOCK, MAX_BLOCK = 4, 512  # vertices scored per evaluation in a scan
@@ -74,7 +74,7 @@ def best_move(state: SolveState, vertices, block: Optional[Block] = None):
     return targets, deltas
 
 
-def sweep(state: SolveState, order, step_log: Optional[list[float]] = None) -> int:
+def sweep(state: SolveState, order, step_log: Optional[list[LossKey]] = None) -> int:
     """Visit the vertices in `order`, committing strictly improving best moves.
 
     A move commits when it lowers the loss by more than `COMMIT_TOL`; the
@@ -105,7 +105,7 @@ def sweep(state: SolveState, order, step_log: Optional[list[float]] = None) -> i
         h[moved] = state._h_all(moved)
         commits += 1
         if step_log is not None:
-            step_log.append(state.total())
+            step_log.append(state.breakdown().key)
         pos = at + 1
         size = min(max(2 * (pos - last), MIN_BLOCK), cap)
         last = pos
@@ -120,7 +120,7 @@ def scan_step(seed: int) -> Step:
     scans rebuilds the caches.  Empty groups are legal and never reseeded.
     """
 
-    def step(state: SolveState, it: int, step_log: Optional[list[float]]) -> int:
+    def step(state: SolveState, it: int, step_log: Optional[list[LossKey]]) -> int:
         commits = sweep(state, iteration_rng(seed, it).permutation(state.graph.n), step_log)
         if it % REVALIDATE_EVERY == 0:
             state.rebuild()

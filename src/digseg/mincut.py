@@ -41,7 +41,7 @@ import numpy as np
 
 from .core import DirectedGraph, FeatureMatrix, OrderedPartition, Penalties, _csr
 from .config import COMMIT_TOL, Step
-from .objective import Centroids, SolveState, fixed_centroid_cost, vertex_group_costs
+from .objective import Centroids, LossKey, SolveState, fixed_centroid_cost, vertex_group_costs
 
 GRID_SCALE = 2.0**40
 _EPS = 0.5 / GRID_SCALE  # half a grid step: residuals below this are dust
@@ -467,14 +467,16 @@ def _pair_cut(state: SolveState, i: int, j: int, cuts: dict):
 
 
 def pair_sweep(
-    state: SolveState, step_log: Optional[list[float]] = None, cuts: Optional[dict] = None
+    state: SolveState, step_log: Optional[list[LossKey]] = None, cuts: Optional[dict] = None
 ) -> int:
     """One pass over all group pairs in lexicographic order.
 
-    Each pair's redistribution is committed only if it strictly lowers the
-    cached objective by more than `COMMIT_TOL` (guards rounding-induced
-    oscillation); under an infinite weight, shedding infinitely-penalized
-    edges counts as an improvement even though both totals print as inf.
+    Each pair's redistribution is committed only if it lowers the loss key
+    (`state.loss_parts()`, read once per changed pair): fewer infinitely
+    weighted edges, or as many and a finite part lower by more than
+    `COMMIT_TOL` (guards rounding-induced oscillation).  A rejected pair is
+    reverted, and the next changed pair is compared against the last
+    accepted key.
     Centers refresh implicitly from the running sums after each commit.
     `cuts` keeps each pair's last cut for reuse on this same state (see the
     module docstring); a fresh dict, the default, cuts every pair anew.
@@ -482,6 +484,7 @@ def pair_sweep(
     """
     cuts = {} if cuts is None else cuts
     commits = 0
+    key = state.loss_parts()
     for i in range(1, state.k):
         for j in range(i + 1, state.k + 1):
             result = _pair_cut(state, i, j, cuts)
@@ -492,18 +495,15 @@ def pair_sweep(
             changed = members[mask]
             if changed.size == 0:
                 continue
-            inf_before, fin_before = state.loss_parts()
             olds = state.assign[changed].copy()
             for v, g in zip(changed, targets[mask]):
                 state.apply_move(int(v), int(g))
-            inf_after, fin_after = state.loss_parts()
-            improved = inf_after < inf_before or (
-                inf_after == inf_before and fin_after < fin_before - COMMIT_TOL
-            )
-            if improved:
+            new = state.loss_parts()
+            if new[0] < key[0] or (new[0] == key[0] and new[1] < key[1] - COMMIT_TOL):
                 commits += 1
+                key = new
                 if step_log is not None:
-                    step_log.append(state.total())
+                    step_log.append(key)
             else:
                 for v, g in zip(changed, olds):
                     state.apply_move(int(v), int(g))
@@ -521,7 +521,7 @@ def sweep_step() -> Step:
     cuts: dict = {}
     owner: Optional[SolveState] = None
 
-    def step(state: SolveState, it: int, step_log: Optional[list[float]]) -> int:
+    def step(state: SolveState, it: int, step_log: Optional[list[LossKey]]) -> int:
         nonlocal owner
         if state is not owner:
             cuts.clear()

@@ -47,14 +47,33 @@ class Centroids:
         return self.mu[group - 1]
 
 
+LossKey = tuple[int, float]
+
+
 @dataclass(frozen=True)
 class CostBreakdown:
-    """Objective value split into coherence and the two cross-edge counts."""
+    """Objective value split into coherence and the two cross-edge counts.
+
+    `key` is the loss key every loss comparison uses: (count of infinitely
+    weighted cross edges, coherence plus the finite penalties), compared
+    lexicographically where plain totals would all be inf.  At finite
+    weights it is (0, total).
+    """
 
     coherence: float
     forward_edges: int
     backward_edges: int
-    total: float
+    key: LossKey
+
+    @classmethod
+    def of(cls, coherence: float, forward: int, backward: int, penalties: Penalties) -> "CostBreakdown":
+        inf_edges, finite = penalties.split(forward, backward)
+        return cls(coherence, forward, backward, (inf_edges, coherence + finite))
+
+    @property
+    def total(self) -> float:
+        inf_edges, finite = self.key
+        return math.inf if inf_edges else finite
 
 
 def coherence_l2(members, features: FeatureMatrix) -> float:
@@ -105,13 +124,7 @@ def total_cost(
     coherence = 0.0
     for g in range(1, partition.k + 1):
         coherence += coherence_l2(partition.members(g), features)
-    fwd, bwd = cross_edge_counts(graph, partition.assign)
-    return CostBreakdown(
-        coherence=coherence,
-        forward_edges=fwd,
-        backward_edges=bwd,
-        total=coherence + penalties.cross_cost(fwd, bwd),
-    )
+    return CostBreakdown.of(coherence, *cross_edge_counts(graph, partition.assign), penalties)
 
 
 def vertex_group_costs(features: FeatureMatrix, centroids: Centroids) -> np.ndarray:
@@ -250,26 +263,14 @@ class SolveState:
         return float(np.maximum(per_group, 0.0)[1:].sum())
 
     def breakdown(self) -> CostBreakdown:
-        coh = self.coherence()
-        fwd, bwd = self.edge_counts
-        return CostBreakdown(
-            coherence=coh,
-            forward_edges=fwd,
-            backward_edges=bwd,
-            total=coh + self.penalties.cross_cost(fwd, bwd),
-        )
+        return CostBreakdown.of(self.coherence(), *self.edge_counts, self.penalties)
 
     def total(self) -> float:
         return self.breakdown().total
 
-    def loss_parts(self) -> tuple[int, float]:
-        """(count of infinitely-penalized edges, finite objective part).
-
-        Compares lexicographically where plain totals would degenerate to
-        inf vs inf; equals (0, total) when both weights are finite.
-        """
-        inf_edges, finite = self.penalties.split(*self.edge_counts)
-        return inf_edges, self.coherence() + finite
+    def loss_parts(self) -> LossKey:
+        """The loss key, `breakdown().key`."""
+        return self.breakdown().key
 
     def centroids(self) -> Centroids:
         counts = self.counts[1:]

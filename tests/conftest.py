@@ -85,6 +85,12 @@ def sse_of_partition(assign, values) -> float:
     return total
 
 
+def finite_parts(step_losses) -> list[float]:
+    """Finite parts of logged loss keys, asserting that no key counts an infinitely weighted edge."""
+    assert all(count == 0 for count, _ in step_losses)
+    return [finite for _, finite in step_losses]
+
+
 def rel_close(a: float, b: float, rtol: float = 1e-9) -> bool:
     if math.isinf(a) or math.isinf(b):
         return a == b

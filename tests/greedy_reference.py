@@ -64,7 +64,7 @@ def best_move(state: SolveState, v: int) -> tuple[int, float]:
     return best_j, best
 
 
-def sweep(state: SolveState, order, step_log: Optional[list[float]] = None) -> int:
+def sweep(state: SolveState, order, step_log: Optional[list[tuple[int, float]]] = None) -> int:
     """Visit the vertices in `order`, committing strictly improving best moves.
 
     A move commits when it lowers the loss by more than `COMMIT_TOL`.  Returns
@@ -78,5 +78,5 @@ def sweep(state: SolveState, order, step_log: Optional[list[float]] = None) -> i
             state.apply_move(v, target)
             commits += 1
             if step_log is not None:
-                step_log.append(state.total())
+                step_log.append(state.breakdown().key)
     return commits

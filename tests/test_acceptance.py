@@ -38,7 +38,7 @@ from digseg import (
 from digseg.config import alternate, norm_seed
 from digseg.mincut import FlowNetwork
 from digseg.treedp import check_arborescence
-from conftest import random_arborescence, random_digraph, random_features, rel_close
+from conftest import finite_parts, random_arborescence, random_digraph, random_features, rel_close
 
 # std 0.1 keeps the unit-cube clusters separable (see README); the generators'
 # default of 0.1 is interpreted as a variance and would overlap them
@@ -166,7 +166,7 @@ def test_criterion_4_committed_steps_monotone():
             cfg = SolveConfig(solver_kind="greedy", restarts=1, seed=i, track_steps=True)
             for step in (scan_step(i), sweep_step()):
                 res = alternate(inst.graph, inst.features, pen, init, cfg, step)
-                losses = res.step_losses or []
+                losses = finite_parts(res.step_losses or [])
                 diffs = np.diff(losses)
                 steps += len(losses)
                 violations += int((diffs > 1e-7).sum())

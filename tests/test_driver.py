@@ -20,13 +20,13 @@ from digseg import (
     total_cost,
 )
 from digseg import driver
-from digseg.config import alternate
+from digseg.config import REL_TOL, alternate, small_improvement
 from digseg.driver import _nearest_step, _run_phase, _tree_step, order_groups
 from digseg.greedy import scan_step
 from digseg.mincut import sweep_step
-from digseg.experiments import gen_stree
+from digseg.experiments import gen_sdag, gen_stree, inject_noise
 from digseg.treedp import TreeLayout
-from conftest import random_digraph, random_features, rel_close
+from conftest import finite_parts, random_digraph, random_features, rel_close
 
 
 def test_random_init_single_group():
@@ -184,7 +184,7 @@ def test_iteration_losses_non_increasing():
     f = random_features(rng, 50, 3)
     cfg = SolveConfig(solver_kind="treedp", seed=6, track_steps=True)
     res = run_iterative(g, f, Penalties(0.0, 50.0), 3, cfg)
-    losses = res.step_losses
+    losses = finite_parts(res.step_losses or [])
     if losses and len(losses) > 1:
         assert (np.diff(losses) <= 1e-7).all()
 
@@ -336,4 +336,51 @@ def test_zero_weight_treedp_step_losses_never_increase():
         cfg = SolveConfig(solver_kind="treedp", seed=seed, track_steps=True)
         res = run_iterative(inst.graph, inst.features, Penalties(0.0, 0.0), 4, cfg)
         assert len(res.step_losses) > 1
-        assert (np.diff(res.step_losses) <= 0.0).all()
+        assert (np.diff(finite_parts(res.step_losses)) <= 0.0).all()
+
+
+def test_small_improvement_compares_loss_keys():
+    assert not small_improvement((2, 5.0), (1, 9.0))  # fewer infinitely weighted edges
+    assert small_improvement((1, 9.0), (2, 5.0))
+    assert not small_improvement((1, 9.0), (1, 9.0 * (1 - 2 * REL_TOL)))
+    assert small_improvement((1, 9.0), (1, 9.0 * (1 - REL_TOL / 2)))
+    assert small_improvement((1, 9.0), (1, 9.5))
+    assert small_improvement((0, 0.5), (0, 0.5 - REL_TOL / 2))  # scaled by max(old, 1)
+
+
+def test_keyed_step_log_is_monotone_under_infinite_weights():
+    # without repair nothing moves vertices between commits, so successive
+    # logged keys measure exactly the committed steps
+    steps = inf_steps = 0
+    for seed in range(3):
+        tree = gen_stree(n=300, d=5, k=5, sigma2=0.05, seed=seed)
+        dag = gen_sdag(n=300, d=5, k=5, sigma2=0.05, edge_prob=0.01, seed=seed)
+        tree_step = functools.partial(_tree_step, TreeLayout.from_graph(tree.graph))
+        for inst, own_steps in ((tree, [tree_step]), (inject_noise(dag, 0.3, seed), [])):
+            init = random_init(300, 5, seed)
+            cfg = SolveConfig(seed=seed, track_steps=True)
+            for pen in (Penalties(0.0, math.inf), Penalties(math.inf, math.inf),
+                        Penalties(0.5, math.inf), Penalties(math.inf, 2.0)):
+                for step in [scan_step(seed), sweep_step()] + own_steps:
+                    log = alternate(inst.graph, inst.features, pen, init, cfg, step).step_losses
+                    for (count, finite), (next_count, next_finite) in zip(log, log[1:]):
+                        assert next_count <= count
+                        assert next_count < count or next_finite <= finite + 1e-7
+                    steps += len(log)
+                    inf_steps += sum(count > 0 for count, _ in log)
+    assert inf_steps > steps // 2
+
+
+def test_repair_cycle_under_infinite_weights_stops():
+    # an empty-group repair and the pair sweep that follows return the state
+    # to the same key with the group empty again; the loop must stop there
+    # rather than repeat the cycle until max_iters
+    inst = inject_noise(gen_stree(n=300, d=5, k=5, sigma2=0.05, seed=27), 0.3, 27)
+    pen = Penalties(math.inf, math.inf)
+    short, long = (
+        run_iterative(inst.graph, inst.features, pen, 5,
+                      SolveConfig(solver_kind="mcut", seed=27, max_iters=cap))
+        for cap in (40, 100)
+    )
+    assert short.converged and short.iterations < 46
+    assert np.array_equal(short.partition.assign, long.partition.assign)
