@@ -20,6 +20,13 @@ and at weights (0, 1e5) it leaves only a few percent of the nodes open.
 The reduction stops as soon as no node is open, since a further round could
 not change a side.
 
+The zero-weight pair step builds no network.  With both weights at 0 every
+arc between members weighs 0, so the reduction fixes each member by its two
+terminal arcs and leaves only exact ties open, which Dinic puts on the
+source side.  `redistribute_pair` therefore compares each member's two
+prices, snapped to the same grid, directly: group j iff the price of i
+exceeds the price of j by more than `_EPS`, group i otherwise.
+
 `sweep_step()` keeps, for each pair (i, j), the inputs of the pair's last
 cut and its result, and reuses the result while the same `SolveState`
 comes back with those inputs unchanged, bit for bit.  The inputs are each
@@ -45,6 +52,13 @@ from .objective import Centroids, LossKey, SolveState, fixed_centroid_cost, vert
 
 GRID_SCALE = 2.0**40
 _EPS = 0.5 / GRID_SCALE  # half a grid step: residuals below this are dust
+
+
+def _snap(values: np.ndarray) -> np.ndarray:
+    """Round, in place, the entries below 2^12 to the 2^-40 grid; larger floats already sit on it."""
+    small = values < 4096.0
+    values[small] = np.round(values[small] * GRID_SCALE) / GRID_SCALE
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,8 +115,7 @@ class FlowNetwork:
                 raise ValueError(f"arc endpoints must lie in 0..{num_nodes - 1}")
         if np.isnan(caps).any():
             raise ValueError("arc capacities must not be NaN")
-        small = caps < 4096.0
-        caps[small] = np.round(caps[small] * GRID_SCALE) / GRID_SCALE
+        _snap(caps)
         if caps.size and caps.min() < 0:
             raise ValueError("arc capacities must be non-negative")
         infinite = np.isinf(caps)
@@ -335,8 +348,7 @@ def _pair_network(
     between = (assign > i) & (assign < j)
     members = np.flatnonzero(in_pair)
     m = members.size
-    # rows of a FeatureMatrix are finite already: no from_array copy and check
-    costs = vertex_group_costs(FeatureMatrix(values[members]), Centroids.from_rows(centers))
+    costs = _member_prices(values, members, centers)
 
     local = np.full(graph.n, -1, dtype=np.int64)
     local[members] = np.arange(m)
@@ -360,6 +372,12 @@ def _pair_network(
         counts = np.zeros(arcs[2].size, dtype=np.int64)
         counts[: 2 * m] = _interleave(to_j_count, to_i_count)
     return FlowNetwork.from_arcs(m + 2, m, m + 1, *arcs, node_labels=members, inf_counts=counts)
+
+
+def _member_prices(values: np.ndarray, members: np.ndarray, centers) -> np.ndarray:
+    """(m, 2) squared distances of the member rows of `values` to the two `centers` rows."""
+    # rows of a FeatureMatrix are finite already: no from_array copy and check
+    return vertex_group_costs(FeatureMatrix(values[members]), Centroids.from_rows(centers))
 
 
 def _cut_labels(net: FlowNetwork, i: int, j: int) -> np.ndarray:
@@ -430,10 +448,17 @@ def redistribute_pair(state: SolveState, i: int, j: int) -> Optional[tuple[np.nd
     """Optimal reassignment of the members of groups i and j between i and j.
 
     Returns (member vertex ids, target group per member) or None when either
-    group is empty.  Holds every other group and all centers fixed.
+    group is empty.  Holds every other group and all centers fixed.  At zero
+    weights the members are priced without a network, exactly as its cut
+    would place them (see the module docstring).
     """
     if state.counts[i] == 0 or state.counts[j] == 0:
         return None
+    if state.penalties.is_zero:
+        members = np.flatnonzero((state.assign == i) | (state.assign == j))
+        cents = state.centroids()
+        prices = _snap(_member_prices(state.values, members, [cents.mu_for(i), cents.mu_for(j)]))
+        return members, np.where(prices[:, 0] - prices[:, 1] > _EPS, j, i)
     net = build_cut_graph_pair(state, i, j)
     return net.node_labels, _cut_labels(net, i, j)
 

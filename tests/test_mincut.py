@@ -25,7 +25,7 @@ from digseg import (
     total_cost,
     update_centroids,
 )
-from digseg.driver import random_init, repair_empty_groups
+from digseg.driver import random_init, repair_empty_groups, run_iterative
 from digseg.greedy import scan_step
 from digseg import mincut
 from digseg.mincut import FlowNetwork, pair_sweep, redistribute_pair, sweep_step
@@ -608,3 +608,94 @@ def test_pair_cut_step_sees_a_move_into_a_group_between():
     assert step(state, 2, None) == fresh_cuts_step(reference, 2, None) == 1
     assert state.assign[2] == 1
     assert np.array_equal(state.assign, reference.assign)
+
+
+def cut_every_pair(state, i, j):
+    """`redistribute_pair` that cuts the pair network at every weight, zero included."""
+    if state.counts[i] == 0 or state.counts[j] == 0:
+        return None
+    net = mincut.build_cut_graph_pair(state, i, j)
+    return net.node_labels, mincut._cut_labels(net, i, j)
+
+
+@hst.composite
+def zero_weight_pair_states(draw):
+    """A small digraph with small-integer features, often duplicated, at a scale
+    whose prices stay below 2^12 (snapped) or pass it (not snapped); a
+    labelling into k = 2..4 groups and a pair i < j of nonempty groups.
+    Such points often lie exactly equidistant from the two centers, so
+    exact price ties are common."""
+    n = draw(hst.integers(2, 12))
+    k = draw(hst.integers(2, 4))
+    d = draw(hst.integers(1, 2))
+    ends = hst.integers(0, n - 1)
+    edges = [(u, v) for u, v in draw(hst.lists(hst.tuples(ends, ends), max_size=2 * n)) if u != v]
+    pool = draw(hst.lists(hst.lists(hst.integers(-3, 3), min_size=d, max_size=d), min_size=1, max_size=n))
+    rows = [pool[draw(hst.integers(0, len(pool) - 1))] for _ in range(n)]
+    scale = draw(hst.sampled_from([1.0, 0.1, 1e5]))
+    i, j = sorted(draw(hst.permutations(range(1, k + 1)))[:2])
+    assign = draw(hst.lists(hst.integers(1, k), min_size=n, max_size=n))
+    assign[0], assign[1] = i, j
+    graph = DirectedGraph.from_edges(n, edges)
+    features = FeatureMatrix.from_array(np.array(rows, dtype=np.float64) * scale)
+    return SolveState(graph, features, Penalties(0.0, 0.0), assign, k), i, j
+
+
+@settings(max_examples=500, deadline=None)
+@given(zero_weight_pair_states())
+def test_zero_weight_pair_pricing_matches_the_cut(problem):
+    # the members and their groups, exact ties included, are those of the cut
+    st, i, j = problem
+    members, targets = redistribute_pair(st, i, j)
+    cut_members, cut_targets = cut_every_pair(st, i, j)
+    assert np.array_equal(members, cut_members)
+    assert np.array_equal(targets, cut_targets)
+
+
+def test_zero_weight_pair_pricing_sends_exact_ties_to_i(monkeypatch):
+    # groups 1 and 3 have centers 0 and 4: vertices 1 and 2, both at 2, are
+    # equidistant from them and go to group 1 whichever group they are in;
+    # vertex 4 in group 2 is no member.  No network is built.
+    g = DirectedGraph.from_edges(5, [(0, 2), (2, 1), (3, 4)])
+    calls = counting_builds(monkeypatch)
+    for scale in (1.0, 1e5):  # prices on the snapped grid, then above 2^12
+        f = FeatureMatrix.from_array(np.array([[-2.0], [2.0], [2.0], [6.0], [9.0]]) * scale)
+        st = SolveState(g, f, Penalties(0.0, 0.0), [1, 1, 3, 3, 2], 3)
+        calls[0] = 0
+        members, targets = redistribute_pair(st, 1, 3)
+        assert calls[0] == 0
+        assert members.tolist() == [0, 1, 2, 3]
+        assert targets.tolist() == [1, 1, 1, 3]
+        assert targets.tolist() == cut_every_pair(st, 1, 3)[1].tolist()
+
+
+@pytest.mark.parametrize("model", ["dag", "tree"])
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_zero_weight_pair_pricing_matches_the_cut_over_whole_runs(monkeypatch, model, k):
+    # whole runs with every pair step cut through its network, from the same
+    # starts, must agree bit for bit: the zero-weight sweeps through the
+    # driver's repair, and both phases of `run_iterative`
+    seed = 40 + k
+    gen = gen_stree if model == "tree" else functools.partial(gen_sdag, edge_prob=0.02)
+    inst = inject_noise(gen(n=120, d=3, k=k, sigma2=0.05, seed=seed), 0.3, seed=seed)
+    g, f = inst.graph, inst.features
+    cfg = SolveConfig(solver_kind="mcut", seed=seed, track_steps=True)
+
+    def runs():
+        return [
+            alternate(g, f, Penalties(0.0, 0.0), random_init(120, k, seed), cfg,
+                      sweep_step(), repair_empty_groups),
+            run_iterative(g, f, Penalties(0.0, 1e5), k, cfg),
+        ]
+
+    calls = counting_builds(monkeypatch)
+    priced = runs()
+    built = calls[0]
+    monkeypatch.setattr(mincut, "redistribute_pair", cut_every_pair)
+    cut = runs()
+    assert 0 < built < calls[0] - built  # the zero-weight steps built no network
+    for a, b in zip(priced, cut):
+        assert a.iterations == b.iterations and a.converged == b.converged
+        assert np.array_equal(a.partition.assign, b.partition.assign)
+        assert a.step_losses == b.step_losses
+        assert a.breakdown == b.breakdown
