@@ -11,11 +11,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Union
+from itertools import compress, repeat
+from operator import itemgetter, ne
+from typing import IO, NoReturn, Union
 
 import numpy as np
 
 TextSource = Union[str, bytes, IO]
+
+_INT64_MAX = 2**63 - 1
+_CHUNK = 256  # lines per join and split in the bulk parsers
 
 
 class EdgeListError(ValueError):
@@ -44,6 +49,33 @@ def _content_lines(source: TextSource):
         if not line or line.startswith("#"):
             continue
         yield lineno, line
+
+
+def _content(text: str) -> list[str]:
+    """The lines `_content_lines` yields, without their numbers."""
+    lines = list(filter(None, map(str.strip, text.splitlines())))
+    return list(compress(lines, map(ne, map(itemgetter(0), lines), repeat("#"))))  # drop '#' lines
+
+
+def _columns(lines: list[str], sep, width: int, convert, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(first, rest): each line's first token by `int`, its other tokens by `convert`.
+
+    Every line holds `width` tokens split at `sep` (whitespace when None).
+    Lines are joined and split `_CHUNK` at a time, so the token lists alive at
+    once stay small whatever the table's length.  Raises ValueError for a
+    token its converter rejects and OverflowError for an id beyond int64.
+    """
+    count = len(lines)
+    first = np.empty(count, dtype=np.int64)
+    rest = np.empty((count, width - 1), dtype=dtype)
+    for start in range(0, count, _CHUNK):
+        stop = min(start + _CHUNK, count)
+        tokens = (sep or " ").join(lines[start:stop]).split(sep)
+        first[start:stop] = np.fromiter(map(int, tokens[::width]), np.int64, stop - start)
+        for j in range(1, width):
+            column = map(convert, tokens[j::width])
+            rest[start:stop, j - 1] = np.fromiter(column, dtype, stop - start)
+    return first, rest
 
 
 def _csr(n: int, keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -81,6 +113,8 @@ class DirectedGraph:
         """
         if n < 0:
             raise EdgeListError(f"vertex count must be non-negative, got {n}")
+        if n > _INT64_MAX:
+            raise EdgeListError(f"vertex count {n} does not fit in a 64-bit integer")
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
         try:
@@ -129,44 +163,73 @@ def load_graph(source: TextSource) -> DirectedGraph:
 
     The first non-comment line may be a single integer giving the vertex
     count; every other line is "src dst".  Without a header the vertex count
-    is one plus the largest id seen.  Lines starting with '#' are ignored.
+    is one plus the largest id seen.  Blank lines and lines starting with '#'
+    are ignored.  The error for invalid input names the first bad line.
     """
+    text = _read_text(source)
+    lines = _content(text)
+    if not lines:
+        raise EdgeListError("empty edge-list input")
+    widths = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+    first = 1 if widths[0] == 1 else 0  # a header takes the first line
+    if (widths[first:] != 2).any():
+        _reject_edge_list(text)
+    try:
+        n = int(lines[0]) if first else None
+        src, dst = _columns(lines[first:], None, 2, int, np.int64)
+    except (ValueError, OverflowError):
+        _reject_edge_list(text)
+    dst = dst[:, 0]
+    if n is not None and not 0 <= n <= _INT64_MAX:
+        _reject_edge_list(text)
+    bad = (src < 0) | (dst < 0) | (src == dst)
+    if n is not None:
+        bad |= (src >= n) | (dst >= n)
+    if bad.any():
+        _reject_edge_list(text)
+    if n is None:
+        n = int(max(src.max(), dst.max())) + 1
+    return DirectedGraph.from_edges(n, np.column_stack((src, dst)))
+
+
+def _reject_edge_list(text: str) -> NoReturn:
+    """Raise the error of the first bad edge-list line, once the bulk pass has failed."""
     declared_n = None
-    ids: list[int] = []  # src, dst of each edge in turn
-    max_id = -1
-    saw_content = False
-    for lineno, line in _content_lines(source):
+    for i, (lineno, line) in enumerate(_content_lines(text)):
         tokens = line.split()
-        if not saw_content and len(tokens) == 1:
-            saw_content = True
+        if i == 0 and len(tokens) == 1:
             try:
                 declared_n = int(tokens[0])
             except ValueError:
-                raise EdgeListError(f"line {lineno}: expected an integer header, got {line!r}")
+                raise EdgeListError(
+                    f"line {lineno}: expected an integer header, got {line!r}"
+                ) from None
             if declared_n < 0:
                 raise EdgeListError(f"line {lineno}: negative vertex count {declared_n}")
+            if declared_n > _INT64_MAX:
+                raise EdgeListError(
+                    f"line {lineno}: vertex count {declared_n} does not fit in a 64-bit integer"
+                )
             continue
-        saw_content = True
         if len(tokens) != 2:
             raise EdgeListError(f"line {lineno}: expected 'src dst', got {line!r}")
         try:
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
-            raise EdgeListError(f"line {lineno}: non-integer vertex id in {line!r}")
+            raise EdgeListError(f"line {lineno}: non-integer vertex id in {line!r}") from None
         if u < 0 or v < 0:
             raise EdgeListError(f"line {lineno}: negative vertex id in {line!r}")
-        if declared_n is not None and (u >= declared_n or v >= declared_n):
+        if declared_n is not None and max(u, v) >= declared_n:
             raise EdgeListError(
                 f"line {lineno}: vertex id {max(u, v)} out of range for declared n={declared_n}"
             )
+        if max(u, v) > _INT64_MAX:
+            raise EdgeListError(
+                f"line {lineno}: vertex id {max(u, v)} does not fit in a 64-bit integer"
+            )
         if u == v:
             raise EdgeListError(f"line {lineno}: self-loop at vertex {u} is not allowed")
-        ids += (u, v)
-        max_id = max(max_id, u, v)
-    if not saw_content:
-        raise EdgeListError("empty edge-list input")
-    n = declared_n if declared_n is not None else max_id + 1
-    return DirectedGraph.from_edges(n, np.array(ids, dtype=np.int64).reshape(-1, 2))
+    raise AssertionError("the bulk pass rejected an edge list whose lines all check")
 
 
 def graph_to_edge_list(graph: DirectedGraph) -> str:
@@ -204,28 +267,62 @@ class FeatureMatrix:
 def load_features(source: TextSource, graph: DirectedGraph) -> FeatureMatrix:
     """Parse the comma-separated feature table: one "vertex_id,f1,...,fd" line per vertex.
 
-    Every vertex of the graph must appear exactly once; all rows must share
-    one dimension and contain only finite values.
+    Every vertex of the graph must appear exactly once, in any order; all
+    rows must share one dimension and contain only finite values.  Blank
+    lines and lines starting with '#' are ignored.  The error for invalid
+    input names the first bad line.
     """
-    rows: dict[int, list[float]] = {}
+    text = _read_text(source)
+    lines = _content(text)
+    n = graph.n
+    ids, rows = np.empty(0, dtype=np.int64), np.empty((0, 0))
+    if lines:
+        commas = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines))
+        d = int(commas[0])
+        if d < 1 or (commas != d).any():
+            _reject_feature_table(text, n)
+        try:
+            ids, rows = _columns(lines, ",", d + 1, float, np.float64)
+        except (ValueError, OverflowError):
+            _reject_feature_table(text, n)
+        order = np.sort(ids)
+        if order[0] < 0 or order[-1] >= n or (order[1:] == order[:-1]).any():
+            _reject_feature_table(text, n)
+        if not np.isfinite(rows).all():
+            _reject_feature_table(text, n)
+    if ids.size < n:
+        # ids are distinct and in range, so the first five gaps lie below ids.size + 5
+        missing = np.setdiff1d(np.arange(min(n, ids.size + 5)), ids)[:5]
+        shown = ", ".join(map(str, missing.tolist()))
+        raise FeatureFileError(f"missing feature row for vertex id(s): {shown}")
+    values = np.empty_like(rows)
+    values[ids] = rows
+    return FeatureMatrix.from_array(values)
+
+
+def _reject_feature_table(text: str, n: int) -> NoReturn:
+    """Raise the error of the first bad feature-table line, once the bulk pass has failed."""
+    seen: set[int] = set()
     dim = None
-    for lineno, line in _content_lines(source):
+    for lineno, line in _content_lines(text):
         tokens = [t.strip() for t in line.split(",")]
         if len(tokens) < 2:
             raise FeatureFileError(f"line {lineno}: expected 'vertex_id,f1,...', got {line!r}")
         try:
             vid = int(tokens[0])
         except ValueError:
-            raise FeatureFileError(f"line {lineno}: non-integer vertex id {tokens[0]!r}")
-        if vid < 0 or vid >= graph.n:
-            raise FeatureFileError(f"line {lineno}: vertex id {vid} out of range for n={graph.n}")
-        if vid in rows:
+            raise FeatureFileError(f"line {lineno}: non-integer vertex id {tokens[0]!r}") from None
+        if vid < 0 or vid >= n:
+            raise FeatureFileError(f"line {lineno}: vertex id {vid} out of range for n={n}")
+        if vid in seen:
             raise FeatureFileError(f"line {lineno}: duplicate row for vertex {vid}")
         try:
             feats = [float(t) for t in tokens[1:]]
         except ValueError:
-            raise FeatureFileError(f"line {lineno}: non-numeric feature value in {line!r}")
-        if any(not math.isfinite(x) for x in feats):
+            raise FeatureFileError(
+                f"line {lineno}: non-numeric feature value in {line!r}"
+            ) from None
+        if not all(map(math.isfinite, feats)):
             raise FeatureFileError(f"line {lineno}: non-finite feature value for vertex {vid}")
         if dim is None:
             dim = len(feats)
@@ -233,14 +330,8 @@ def load_features(source: TextSource, graph: DirectedGraph) -> FeatureMatrix:
             raise FeatureFileError(
                 f"line {lineno}: vertex {vid} has {len(feats)} features, expected {dim}"
             )
-        rows[vid] = feats
-    missing = [v for v in range(graph.n) if v not in rows]
-    if missing:
-        shown = ", ".join(map(str, missing[:5]))
-        raise FeatureFileError(f"missing feature row for vertex id(s): {shown}")
-    if graph.n == 0:
-        return FeatureMatrix.from_array(np.zeros((0, 0)))
-    return FeatureMatrix.from_array([rows[v] for v in range(graph.n)])
+        seen.add(vid)
+    raise AssertionError("the bulk pass rejected a feature table whose lines all check")
 
 
 def features_to_table(features: FeatureMatrix) -> str:

@@ -269,7 +269,13 @@ class SolveState:
         return self.breakdown().total
 
     def loss_parts(self) -> LossKey:
-        """The loss key, `breakdown().key`."""
+        """The loss key, `breakdown().key`.
+
+        With both weights 0 the counts cannot enter the key, so it is read
+        without recounting the cross edges: coherence + 0.0 is coherence.
+        """
+        if self.penalties.is_zero:
+            return 0, self.coherence()
         return self.breakdown().key
 
     def centroids(self) -> Centroids:

@@ -18,6 +18,7 @@ from digseg import (
     update_centroids,
 )
 from digseg.driver import _write_labels
+from digseg import objective
 from digseg.objective import cross_edge_counts
 from conftest import (
     multigraphs,
@@ -324,3 +325,22 @@ def test_cached_edge_counts_are_never_stale(g, isolated, k, data):
         else:
             _write_labels(state, np.array(data.draw(labels), dtype=np.int64), None)
         assert_fresh()
+
+
+def test_zero_weight_loss_key_skips_the_edge_recount(monkeypatch):
+    rng = np.random.default_rng(4)
+    g = random_digraph(rng, 40, 120)
+    features = random_features(rng, 40, 3)
+    state = SolveState(g, features, NOPEN, rng.integers(1, 5, size=40), 4)
+    for v in range(0, 40, 3):
+        state.apply_move(v, v % 4 + 1)
+    key = state.loss_parts()
+    full = state.breakdown().key  # recounts the moved state's edges
+    assert key == full and type(key[0]) is type(full[0])
+    assert np.float64(key[1]).tobytes() == np.float64(full[1]).tobytes()
+
+    def refuse(*args):
+        raise AssertionError("cross edges recounted")
+    monkeypatch.setattr(objective, "cross_edge_counts", refuse)
+    state.apply_move(0, 2)
+    assert state.loss_parts() == (0, state.coherence())
