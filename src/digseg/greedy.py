@@ -8,16 +8,19 @@ against the groups as all earlier commits left them.  Moves are scored by
 module adds only the policy: which target is best and when a move commits.
 `scan_step(seed)` is the scan as the partition step `config.alternate` runs.
 
-The scan scores a block of upcoming vertices in one numpy evaluation against
-the state as it stands.  Up to and including the first vertex of the block
-whose move commits, nothing has changed since the block was scored, so those
-scores are exactly the ones a vertex-by-vertex scan computes: the scan
-commits that vertex, drops the rest of the block and scores again from the
-next position, and a block without a commit advances whole.  Commits,
-their order and every float therefore equal the vertex-by-vertex scan's.
-The block doubles while nothing commits and shrinks to about twice the gap
-between the last two commits after one, so dense stretches waste little work
-and quiet ones take few evaluations.
+The scan scores a block of upcoming vertices in one numpy evaluation, each
+against the state that a guessed decision for every earlier vertex of the
+block would leave (optimistic concurrency control: propose many updates,
+validate them against the serial order).  A fresh position is guessed to
+stay.  Up to and including the first position whose decision differs from
+its guess, every guess before it held, so each of those positions was scored
+against the state the one-vertex scan would hold there: the scan commits
+their moves in order and goes on from the next position, whose fresh
+decisions of this evaluation become the next one's guesses.  In a dense
+stretch those guesses are mostly right, so one evaluation validates many
+commits; in a quiet one every position stays and the block advances whole.
+Commits, their order and every float therefore equal the vertex-by-vertex
+scan's.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .config import COMMIT_TOL, Step, iteration_rng
 from .objective import LossKey, SolveState
 
 REVALIDATE_EVERY = 64  # full cache rebuild cadence, bounds running-sum drift
-MIN_BLOCK, MAX_BLOCK = 4, 512  # vertices scored per evaluation in a scan
+MAX_BLOCK = 256  # vertices scored per evaluation in a scan
 BLOCK_FLOATS = 1 << 15  # caps block * (k + 1) * d, the largest temporary of an evaluation
 
 
@@ -38,29 +41,31 @@ class Block(NamedTuple):
     """What a scan keeps for the vertices it scores next.
 
     `nbr` and `key` are the block's `SolveState.neighbor_layout`, with the
-    block's first vertex at position 0, and `h` is `state._h_all()`.
+    block's first vertex at position 0; `guess` is the guessed target per
+    vertex that `SolveState.move_deltas` scores the later vertices after.
     """
 
     nbr: np.ndarray
     key: np.ndarray
-    h: np.ndarray
+    guess: Optional[np.ndarray] = None
 
 
 def best_move(state: SolveState, vertices, block: Optional[Block] = None):
     """Best target group and objective delta for each of `vertices`.
 
-    Every vertex is scored against the current state.  Ties between move
-    targets go to the lowest group index; when no move strictly improves,
-    staying put is reported as (current group, 0.0).  A single vertex gives
-    `(int, float)`, an array of vertices a (targets, deltas) pair of arrays.
-    `block` is what a scan already holds for these vertices; without it the
-    neighbors and `state._h_all()` are looked up here.
+    Every vertex is scored against the current state, or, with a guess in
+    `block`, against the state the guessed moves of the vertices before it
+    leave.  Ties between move targets go to the lowest group index; when no
+    move strictly improves, staying put is reported as (current group, 0.0).
+    A single vertex gives `(int, float)`, an array of vertices a (targets,
+    deltas) pair of arrays.  `block` is what a scan already holds for these
+    vertices; without it the neighbors are looked up here.
     """
     scalar = np.ndim(vertices) == 0
     vs = np.atleast_1d(np.asarray(vertices, dtype=np.int64))
     if block is None:
         _, nbr, key = state.neighbor_layout(vs)
-        block = Block(nbr, key, state._h_all())
+        block = Block(nbr, key)
     delta = state.move_deltas(vs, *block)
     rows = np.arange(vs.size)
     own = state.assign[vs]
@@ -84,31 +89,26 @@ def sweep(state: SolveState, order, step_log: Optional[list[LossKey]] = None) ->
     order = np.asarray(order, dtype=np.int64)
     ptr, nbr, key = state.neighbor_layout(order)
     width = 2 * (state.k + 1)
-    h = state._h_all()
-    cap = max(1, min(MAX_BLOCK, BLOCK_FLOATS // max(1, (state.k + 1) * state.features.d)))
-    size = min(MIN_BLOCK, cap)
-    commits = pos = last = 0
+    size = max(1, min(MAX_BLOCK, BLOCK_FLOATS // max(1, (state.k + 1) * state.features.d)))
+    guess = order[:0]  # the decisions carried over for the positions from `pos` on
+    commits = pos = 0
     while pos < order.size:
         stop = min(pos + size, order.size)
+        vs = order[pos:stop]
+        own = state.assign[vs]
+        guess = np.concatenate((guess, own[guess.size:]))
         lo, hi = ptr[pos], ptr[stop]
-        block = Block(nbr[lo:hi], key[lo:hi] - pos * width, h)
-        targets, deltas = best_move(state, order[pos:stop], block)
-        hits = np.flatnonzero(deltas < -COMMIT_TOL)
-        if not hits.size:
-            pos = stop
-            size = min(2 * size, cap)
-            continue
-        at = pos + int(hits[0])
-        v, target = int(order[at]), int(targets[hits[0]])
-        moved = [int(state.assign[v]), target]
-        state.apply_move(v, target)
-        h[moved] = state._h_all(moved)
-        commits += 1
-        if step_log is not None:
-            step_log.append(state.breakdown().key)
-        pos = at + 1
-        size = min(max(2 * (pos - last), MIN_BLOCK), cap)
-        last = pos
+        targets, deltas = best_move(state, vs, Block(nbr[lo:hi], key[lo:hi] - pos * width, guess))
+        decided = np.where(deltas < -COMMIT_TOL, targets, own)
+        wrong = np.flatnonzero(decided != guess)
+        end = int(wrong[0]) + 1 if wrong.size else vs.size
+        for p in np.flatnonzero(decided[:end] != own[:end]):
+            state.apply_move(int(vs[p]), int(decided[p]), count_edges=step_log is not None)
+            commits += 1
+            if step_log is not None:
+                step_log.append(state.breakdown().key)
+        guess = decided[end:]
+        pos += end
     return commits
 
 

@@ -167,6 +167,12 @@ def fixed_centroid_cost(
     return feat + penalties.cross_cost(fwd, bwd)
 
 
+def _h(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """||sum||^2 / count per group row (0 for an empty group), summed over the last axis."""
+    sq = (sums * sums).sum(axis=-1)
+    return np.where(counts > 0, sq / np.maximum(counts, 1), 0.0)
+
+
 @lru_cache(maxsize=8)
 def _edge_matrix(k: int) -> np.ndarray:
     """0/1 matrix taking neighbor counts per (direction, group) to edge counts per target.
@@ -190,7 +196,8 @@ class SolveState:
     `apply_move` keeps current in O(d).  `move_deltas` scores vertices' moves
     from them and the graph's CSR rows in O(k d + deg v) per vertex.  The two
     cross-edge counts are recounted in O(m) by `cross_edge_counts` the first
-    time a loss or count is read after a move, and kept until the next move;
+    time a loss or count is read after a move, and kept until the next move
+    (a move asked to keep them current updates them from its own edges);
     `rebuild` fills them.  So every writer of `assign` must go through
     `apply_move` or `rebuild`.  Group-indexed arrays have k+1 rows with row 0
     unused.  Single-owner mutable; not thread-safe.
@@ -251,11 +258,9 @@ class SolveState:
             self._edge_counts = cross_edge_counts(self.graph, self.assign)
         return self._edge_counts
 
-    def _h_all(self, rows=slice(None)) -> np.ndarray:
-        """|S_g| * ||mu_g||^2 = ||sum_g||^2 / |S_g| of every group, or of the groups in `rows`."""
-        s, c = self.sums[rows], self.counts[rows]
-        sq = (s * s).sum(axis=1)
-        return np.where(c > 0, sq / np.maximum(c, 1), 0.0)
+    def _h_all(self) -> np.ndarray:
+        """|S_g| * ||mu_g||^2 = ||sum_g||^2 / |S_g| of every group."""
+        return _h(self.sums, self.counts)
 
     def coherence(self) -> float:
         """Total coherence via the sum-decomposition identity, clamped at zero per group."""
@@ -319,36 +324,67 @@ class SolveState:
         return ptr, np.concatenate(nbrs)[srt], key[srt]
 
     def move_deltas(
-        self, vertices: np.ndarray, nbr: np.ndarray, key: np.ndarray, h: np.ndarray
+        self, vertices: np.ndarray, nbr: np.ndarray, key: np.ndarray, guess: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """(len(vertices), k+1) objective changes of moving each vertex to each group.
 
-        `nbr` and `key` are the vertices' `neighbor_layout`, `h` is `_h_all()`.
-        Each entry moves one vertex alone against the current state; column 0
-        and each vertex's own group are +inf, and infinite weights give +-inf.
-        With both weights 0 the entries are the coherence changes alone: the
-        edge term is skipped, since adding it would add only (signed) zeros.
+        `nbr` and `key` are the vertices' `neighbor_layout`.  Without `guess`
+        every entry moves one vertex alone against the current state.  `guess`
+        holds a guessed target per vertex (its own group: it stays), and the
+        vertices must then be distinct: row p is scored against the state the
+        guessed moves of rows < p, applied in order, would leave.  Its group
+        sums equal `apply_move`'s running sums bit for bit, and a neighbor in
+        an earlier row counts in its guessed group.  Column 0 and each
+        vertex's own group are +inf, and infinite weights give +-inf.  With
+        both weights 0 the entries are the coherence changes alone: the edge
+        term is skipped, since adding it would add only (signed) zeros.
         """
         k1 = self.k + 1
         rows = np.arange(vertices.size)
         own = self.assign[vertices]
         a = self.values[vertices]
-        counts, sums = self.counts, self.sums
+        guess = own if guess is None else guess
+        moves = guess != own
+        movers = np.flatnonzero(moves)
+
+        # states[i] holds the group counts and sums after the first i guessed
+        # moves, summed in order (x - a == x + (-a) in IEEE arithmetic); row p
+        # is scored against states[seen[p]]
+        steps = np.arange(1, movers.size + 1)
+        counts = np.zeros((movers.size + 1, k1), dtype=np.int64)
+        sums = np.zeros((movers.size + 1, k1, self.features.d))
+        counts[0], sums[0] = self.counts, self.sums
+        counts[steps, own[movers]], sums[steps, own[movers]] = -1, -a[movers]
+        counts[steps, guess[movers]], sums[steps, guess[movers]] = 1, a[movers]
+        np.cumsum(counts, axis=0, out=counts)
+        np.cumsum(sums, axis=0, out=sums)
+        h = _h(sums, counts)
+        seen = np.cumsum(moves) - moves
 
         # coherence terms: h(S) = |S| * ||mu||^2 from the running sums; the
         # leaving group's row is one dot product per vertex, the same as `s @ s`
-        s_out = sums[own] - a
-        c_out = counts[own] - 1
+        s_out = sums[seen, own] - a
+        c_out = counts[seen, own] - 1
         sq_out = np.matmul(s_out[:, None, :], s_out[:, :, None])[:, 0, 0]
         h_out = np.where(c_out > 0, sq_out / np.maximum(c_out, 1), 0.0)
-        s_plus = sums[None, :, :] + a[:, None, :]
-        h_plus = (s_plus * s_plus).sum(axis=2) / (counts + 1)
-        delta = (h[own] - h_out)[:, None] + (h[None, :] - h_plus)
+        s_plus = sums[seen]
+        s_plus += a[:, None, :]
+        s_plus *= s_plus
+        h_plus = s_plus.sum(axis=2) / (counts[seen] + 1)
+        delta = (h[seen, own] - h_out)[:, None] + (h[seen] - h_plus)
 
         if not self.penalties.is_zero:
             # cross-edge counts for every target: neighbor counts per (direction,
             # group) from one bincount, then one product with the 0/1 edge matrix
-            nbr_counts = np.bincount(key + self.assign[nbr], minlength=vertices.size * 2 * k1)
+            labels = self.assign[nbr]
+            if movers.size:
+                # a neighbor that is a mover of an earlier row counts in its guessed group
+                ids = vertices[movers]
+                j = np.argsort(ids)
+                j = j[np.searchsorted(ids, nbr, sorter=j).clip(max=movers.size - 1)]
+                earlier = (ids[j] == nbr) & (movers[j] < key // (2 * k1))
+                labels = np.where(earlier, guess[movers[j]], labels)
+            nbr_counts = np.bincount(key + labels, minlength=vertices.size * 2 * k1)
             at = nbr_counts.reshape(vertices.size, 2 * k1) @ _edge_matrix(self.k)
             fwd_at, bwd_at = at[:, :k1], at[:, k1:]
             dfwd = fwd_at - fwd_at[rows, own][:, None]
@@ -374,14 +410,30 @@ class SolveState:
             raise ValueError("target group equals the current group")
         vs = np.array([v], dtype=np.int64)
         _, nbr, key = self.neighbor_layout(vs)
-        return float(self.move_deltas(vs, nbr, key, self._h_all())[0, target])
+        return float(self.move_deltas(vs, nbr, key)[0, target])
 
-    def apply_move(self, v: int, target: int) -> None:
-        """Commit the move of v to `target` in O(d); the edge counts are recounted on read."""
+    def apply_move(self, v: int, target: int, count_edges: bool = False) -> None:
+        """Commit the move of v to `target` in O(d).
+
+        The cross-edge counts are recounted when next read, unless
+        `count_edges` is set and they are known: then v's own edges keep them
+        current, in O(deg v).
+        """
         self._check_move(v, target)
         i = int(self.assign[v])
         if target == i:
             return
+        if count_edges and self._edge_counts is not None:
+            (out_ptr, heads), (in_ptr, tails) = self.graph.out_csr, self.graph.in_csr
+            g_out = self.assign[heads[out_ptr[v]:out_ptr[v + 1]]]
+            g_in = self.assign[tails[in_ptr[v]:in_ptr[v + 1]]]
+            fwd, bwd = self._edge_counts
+            for g, sign in ((i, -1), (target, 1)):
+                fwd += sign * int(np.count_nonzero(g_out > g) + np.count_nonzero(g_in < g))
+                bwd += sign * int(np.count_nonzero(g_out < g) + np.count_nonzero(g_in > g))
+            self._edge_counts = (fwd, bwd)
+        else:
+            self._edge_counts = None
         a = self.values[v]
         self.sums[i] -= a
         self.sums[target] += a
@@ -390,7 +442,6 @@ class SolveState:
         self.group_sqnorm[i] -= self.point_sqnorm[v]
         self.group_sqnorm[target] += self.point_sqnorm[v]
         self.assign[v] = target
-        self._edge_counts = None
 
     # -- verification ----------------------------------------------------
 

@@ -16,7 +16,8 @@ from digseg import (
     alternate,
     best_move,
 )
-from digseg.greedy import scan_step, sweep
+from digseg import greedy
+from digseg.greedy import Block, scan_step, sweep
 from digseg.experiments import gen_stree
 from conftest import finite_parts, random_digraph, random_state, rel_close, sse_of_partition
 import greedy_reference
@@ -201,8 +202,9 @@ def test_block_scan_matches_vertex_by_vertex_reference(problem):
     pytest.param(*w, True, id=f"{w[0]}-{w[1]}-continuous") for w in [(0.0, 0.0), (0.0, 1e5)]
 ])
 def test_block_scan_matches_reference_on_a_large_instance(lam_f, lam_b, continuous):
-    # dense commits in the first scans, sparse ones in the last, where the
-    # blocks grow to their 512-vertex cap
+    # dense commits in the first scans, where most guessed moves are checked
+    # against the states of earlier guesses, and sparse ones in the last, where
+    # whole 256-vertex blocks stay
     rng = np.random.default_rng(66)
     n, k = 3000, 5
     graph = random_digraph(rng, n, 4 * n)
@@ -211,6 +213,59 @@ def test_block_scan_matches_reference_on_a_large_instance(lam_f, lam_b, continuo
     orders = [rng.permutation(n) for _ in range(8)]
     assign = rng.integers(1, k + 1, size=n)
     assert_scans_match(graph, features, Penalties(lam_f, lam_b), assign, k, orders)
+
+
+@pytest.mark.parametrize("block", [1, 2])
+@pytest.mark.parametrize("lam_f, lam_b", [(0.0, 0.0), (0.0, 1e5), (0.5, 2.0), (0.0, math.inf)])
+def test_block_scan_matches_reference_with_blocks_capped_at_one_or_two(block, lam_f, lam_b):
+    # so many features that `BLOCK_FLOATS` leaves room for `block` vertices only
+    rng = np.random.default_rng(68 + block)
+    n, k = 40, 3
+    d = greedy.BLOCK_FLOATS // ((k + 1) * block) - 1
+    assert greedy.BLOCK_FLOATS // ((k + 1) * d) == block
+    features = FeatureMatrix.from_array(rng.integers(-2, 3, size=(n, d)))
+    orders = [rng.permutation(n) for _ in range(3)]
+    assert_scans_match(random_digraph(rng, n, 3 * n), features, Penalties(lam_f, lam_b),
+                       rng.integers(1, k + 1, size=n), k, orders)
+
+
+@st.composite
+def guessed_blocks(draw):
+    """A `scan_problems` state with a block of distinct vertices and a guessed
+    target per vertex.  When there is an edge and k >= 2, the first edge's
+    tail comes before its head in the block and is guessed to move, so a
+    neighbor earlier in the block moves."""
+    graph, features, pen, assign, k, orders = draw(scan_problems())
+    block = list(orders[0][:draw(st.integers(1, graph.n))])
+    groups = st.integers(1, k)
+    guess = {v: draw(groups) for v in range(graph.n)}
+    if graph.m and k >= 2:
+        u, w = int(graph.edge_src[0]), int(graph.edge_dst[0])
+        block = [v for v in block if v not in (u, w)]
+        at = draw(st.integers(0, len(block)))
+        block.insert(at, u)
+        block.insert(draw(st.integers(at + 1, len(block))), w)
+        guess[u] = draw(groups.filter(lambda g: g != assign[u]))
+    return graph, features, pen, assign, k, np.array(block), np.array([guess[v] for v in block])
+
+
+@settings(max_examples=300, deadline=None)
+@given(guessed_blocks())
+def test_guessed_scores_equal_the_reference_after_the_guessed_moves(problem):
+    graph, features, pen, assign, k, vs, guess = problem
+    state = SolveState(graph, features, pen, assign, k)
+    _, nbr, key = state.neighbor_layout(vs)
+    delta = state.move_deltas(vs, nbr, key, guess)
+    targets, deltas = best_move(state, vs, Block(nbr, key, guess))
+    assert list(state.assign) == list(assign)  # scoring writes nothing
+    walk = SolveState(graph, features, pen, assign, k)
+    for p, v in enumerate(vs.tolist()):
+        # row p against the state the guessed moves of rows < p leave
+        ref_target, ref_delta = greedy_reference.best_move(walk, v)
+        assert (int(targets[p]), float(deltas[p]).hex()) == (ref_target, ref_delta.hex())
+        alone = walk.move_deltas(vs[p:p + 1], *walk.neighbor_layout(vs[p:p + 1])[1:])
+        assert delta[p].tobytes() == alone[0].tobytes()
+        walk.apply_move(v, int(guess[p]))
 
 
 def test_best_move_on_an_array_equals_the_scalar_calls():

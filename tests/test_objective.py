@@ -297,7 +297,7 @@ def test_cached_edge_counts_are_never_stale(g, isolated, k, data):
     def assert_fresh():
         fresh = total_cost(g, features, state.partition(), pen)
         counts = cross_edge_counts(g, state.assign)
-        assert state.edge_counts == counts
+        assert state.edge_counts == counts and all(type(c) is int for c in state.edge_counts)
         bd = state.breakdown()
         assert (bd.forward_edges, bd.backward_edges) == counts
         assert rel_close(bd.total, fresh.total)
@@ -307,11 +307,11 @@ def test_cached_edge_counts_are_never_stale(g, isolated, k, data):
         assert rel_close(finite, fresh.coherence + fresh_finite)
 
     assert_fresh()
-    for op in data.draw(hst.lists(hst.sampled_from(["moves", "revert", "rebuild", "write"]),
-                                  max_size=8)):
-        if op == "moves":  # targets may be a vertex's own group
+    ops = ["moves", "counted moves", "revert", "rebuild", "write"]
+    for op in data.draw(hst.lists(hst.sampled_from(ops), max_size=8)):
+        if op in ("moves", "counted moves"):  # targets may be a vertex's own group
             for v, target in data.draw(moves):
-                state.apply_move(v, target)
+                state.apply_move(v, target, count_edges=op == "counted moves")
         elif op == "revert":  # apply, read, then revert, as `pair_sweep` does
             changed = data.draw(moves)
             olds = [int(state.assign[v]) for v, _ in changed]
@@ -344,3 +344,25 @@ def test_zero_weight_loss_key_skips_the_edge_recount(monkeypatch):
     monkeypatch.setattr(objective, "cross_edge_counts", refuse)
     state.apply_move(0, 2)
     assert state.loss_parts() == (0, state.coherence())
+
+
+def test_counted_moves_keep_known_edge_counts_without_a_recount(monkeypatch):
+    rng = np.random.default_rng(5)
+    g = random_digraph(rng, 40, 160)
+    state = SolveState(g, random_features(rng, 40, 3), Penalties(0.5, 2.0), rng.integers(1, 5, size=40), 4)
+    moves = [(int(v), int(t)) for v, t in zip(rng.integers(0, 40, size=60), rng.integers(1, 5, size=60))]
+    expected = []
+    probe = SolveState(g, state.features, state.penalties, state.assign, 4)
+    for v, t in moves:
+        probe.apply_move(v, t)
+        expected.append(probe.edge_counts)  # recounted
+
+    def refuse(*args):
+        raise AssertionError("cross edges recounted")
+    monkeypatch.setattr(objective, "cross_edge_counts", refuse)
+    for (v, t), counts in zip(moves, expected):
+        state.apply_move(v, t, count_edges=True)
+        assert state.edge_counts == counts
+    state.apply_move(0, int(state.assign[0]) % 4 + 1)  # uncounted: recounted on the next read
+    with pytest.raises(AssertionError, match="recounted"):
+        state.edge_counts
