@@ -89,6 +89,24 @@ def _csr(n: int, keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.n
     return indptr, grouped
 
 
+def _interleave(a, b) -> np.ndarray:
+    """Rows a[0], b[0], a[1], b[1], ...; a scalar stands for a constant array."""
+    a, b = np.asarray(a), np.asarray(b)
+    rows = a if a.ndim else b
+    out = np.empty((2 * len(rows),) + rows.shape[1:], dtype=np.result_type(a, b))
+    out[0::2], out[1::2] = a, b
+    return out
+
+
+def _csr_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, lengths): where the entries of `rows` sit in a CSR value array, row after row."""
+    starts, ends = indptr[rows], indptr[rows + 1]
+    lengths = ends - starts
+    stops = np.cumsum(lengths)  # where each row ends in the output
+    total = int(stops[-1]) if stops.size else 0
+    return np.arange(total) + np.repeat(ends - stops, lengths), lengths
+
+
 @dataclass(frozen=True, eq=False)
 class DirectedGraph:
     """Immutable directed multigraph over vertices 0..n-1.

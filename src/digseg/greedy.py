@@ -84,7 +84,11 @@ def sweep(state: SolveState, order, step_log: Optional[list[LossKey]] = None) ->
 
     A move commits when it lowers the loss by more than `COMMIT_TOL`; the
     commits are those of scoring and committing one vertex at a time (see
-    the module docstring).  Returns the number of committed moves.
+    the module docstring).  Each validated stretch is committed by one
+    `SolveState.apply_move`, which keeps the edge counts always current
+    from the moved vertices' own edges; with `step_log` the moves go one
+    per call and each commit's loss key is logged.  Returns the number of
+    committed moves.
     """
     order = np.asarray(order, dtype=np.int64)
     ptr, nbr, key = state.neighbor_layout(order)
@@ -102,11 +106,14 @@ def sweep(state: SolveState, order, step_log: Optional[list[LossKey]] = None) ->
         decided = np.where(deltas < -COMMIT_TOL, targets, own)
         wrong = np.flatnonzero(decided != guess)
         end = int(wrong[0]) + 1 if wrong.size else vs.size
-        for p in np.flatnonzero(decided[:end] != own[:end]):
-            state.apply_move(int(vs[p]), int(decided[p]), count_edges=step_log is not None)
-            commits += 1
+        movers = np.flatnonzero(decided[:end] != own[:end])
+        # one call per stretch that moves any vertex; a logged scan makes one
+        # call per commit instead, to log each commit's key
+        for batch in [movers] if step_log is None and movers.size else movers[:, None]:
+            state.apply_move(vs[batch], decided[batch])
             if step_log is not None:
                 step_log.append(state.breakdown().key)
+        commits += movers.size
         guess = decided[end:]
         pos += end
     return commits

@@ -46,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DirectedGraph, FeatureMatrix, OrderedPartition, Penalties, _csr
+from .core import DirectedGraph, FeatureMatrix, OrderedPartition, Penalties, _csr, _interleave
 from .config import COMMIT_TOL, Step
 from .objective import Centroids, LossKey, SolveState, fixed_centroid_cost, vertex_group_costs
 
@@ -133,24 +133,14 @@ class FlowNetwork:
     def num_arcs(self) -> int:
         return len(self.caps)
 
-    def on_source_side(self, source_side) -> np.ndarray:
-        """One flag per node: is it in the given source side?"""
-        side = np.zeros(self.num_nodes, dtype=bool)
-        side[list(source_side)] = True
-        return side
-
-    def cut_weight(self, source_side) -> float:
-        """Total capacity of arcs leaving the given source side."""
-        return self._leaving(self.on_source_side(source_side))
-
-    def _leaving(self, side: np.ndarray) -> float:
-        """Total capacity of arcs leaving the nodes flagged in `side`, summed in arc order."""
-        crossing = side[self.tails] & ~side[self.heads]
+    def cut_weight(self, source_side: np.ndarray) -> float:
+        """Total capacity of arcs leaving a source side (one boolean flag per node), in arc order."""
+        crossing = source_side[self.tails] & ~source_side[self.heads]
         return float(self.caps[crossing].sum())
 
 
-def max_flow_min_cut(net: FlowNetwork) -> tuple[float, set[int]]:
-    """Minimum s-t cut value and its source side.
+def max_flow_min_cut(net: FlowNetwork) -> tuple[float, np.ndarray]:
+    """Minimum s-t cut value and its source side, one boolean flag per node.
 
     First an exact reduction fixes every node whose side is forced
     (persistency: Hammer, Hansen & Simeone 1984).  A node whose terminal
@@ -181,7 +171,7 @@ def max_flow_min_cut(net: FlowNetwork) -> tuple[float, set[int]]:
         )
         fixed[open_nodes] = np.where(_dinic(m + 2, m, m + 1, *arcs)[:m], 1, -1)
     on_source = fixed > 0
-    return net._leaving(on_source), set(np.flatnonzero(on_source).tolist())
+    return net.cut_weight(on_source), on_source
 
 
 def _fix_forced_nodes(net: FlowNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -220,8 +210,8 @@ def _fix_forced_nodes(net: FlowNetwork) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def _dinic(
     n: int, s: int, t: int, tails: np.ndarray, heads: np.ndarray, caps: np.ndarray
-) -> list[bool]:
-    """Source side of the largest minimum s-t cut: one flag per node.
+) -> np.ndarray:
+    """Source side of the largest minimum s-t cut: one boolean flag per node.
 
     Plain Dinic over arcs (tails[a], heads[a]) with capacities caps[a].
     """
@@ -299,15 +289,7 @@ def _dinic(
             if not reaches_sink[w] and res[b ^ 1] > _EPS:
                 reaches_sink[w] = True
                 queue.append(w)
-    return [not r for r in reaches_sink]
-
-
-def _interleave(a, b) -> np.ndarray:
-    """a[0], b[0], a[1], b[1], ...; a scalar stands for a constant array."""
-    a, b = np.asarray(a), np.asarray(b)
-    out = np.empty(2 * (a.size if a.ndim else b.size), dtype=np.result_type(a, b))
-    out[0::2], out[1::2] = a, b
-    return out
+    return ~np.array(reaches_sink)
 
 
 def _with_terminals(source_caps, sink_caps, tails, heads, caps):
@@ -383,7 +365,7 @@ def _member_prices(values: np.ndarray, members: np.ndarray, centers) -> np.ndarr
 def _cut_labels(net: FlowNetwork, i: int, j: int) -> np.ndarray:
     """Group i or j per vertex node of a pair network: i on the minimum cut's source side."""
     _, side = max_flow_min_cut(net)
-    return np.where(net.on_source_side(side)[: net.node_labels.size], i, j)
+    return np.where(side[: net.node_labels.size], i, j)
 
 
 def build_cut_graph_k2(
@@ -496,12 +478,13 @@ def pair_sweep(
 ) -> int:
     """One pass over all group pairs in lexicographic order.
 
-    Each pair's redistribution is committed only if it lowers the loss key
-    (`state.loss_parts()`, read once per changed pair): fewer infinitely
-    weighted edges, or as many and a finite part lower by more than
-    `COMMIT_TOL` (guards rounding-induced oscillation).  A rejected pair is
-    reverted, and the next changed pair is compared against the last
-    accepted key.
+    Each pair's redistribution is applied as one `SolveState.apply_move`
+    of its changed members and committed only if it lowers the loss key
+    (`state.loss_parts()`, read once per changed pair from the always-current
+    sums and edge counts): fewer infinitely weighted edges, or as many and a
+    finite part lower by more than `COMMIT_TOL` (guards rounding-induced
+    oscillation).  A rejected pair is reverted by one more call, and the next
+    changed pair is compared against the last accepted key.
     Centers refresh implicitly from the running sums after each commit.
     `cuts` keeps each pair's last cut for reuse on this same state (see the
     module docstring); a fresh dict, the default, cuts every pair anew.
@@ -520,9 +503,8 @@ def pair_sweep(
             changed = members[mask]
             if changed.size == 0:
                 continue
-            olds = state.assign[changed].copy()
-            for v, g in zip(changed, targets[mask]):
-                state.apply_move(int(v), int(g))
+            olds = state.assign[changed]
+            state.apply_move(changed, targets[mask])
             new = state.loss_parts()
             if new[0] < key[0] or (new[0] == key[0] and new[1] < key[1] - COMMIT_TOL):
                 commits += 1
@@ -530,8 +512,7 @@ def pair_sweep(
                 if step_log is not None:
                     step_log.append(key)
             else:
-                for v, g in zip(changed, olds):
-                    state.apply_move(int(v), int(g))
+                state.apply_move(changed, olds)
     return commits
 
 

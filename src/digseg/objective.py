@@ -3,7 +3,8 @@
 The cost of an ordered partition is the sum over groups of the minimum total
 squared distance to a single center, plus lambda_f per forward cross edge and
 lambda_b per backward cross edge.  `SolveState` keeps per-group running sums
-current on every move and recounts the cross edges only when a loss is read;
+and the two cross-edge counts always current: `SolveState.apply_move`, its
+one incremental writer, updates them from the moved vertices' own edges.
 `SolveState.move_deltas` is the one place a move of single vertices is scored.
 """
 
@@ -16,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DirectedGraph, FeatureMatrix, OrderedPartition, Penalties
+from .core import DirectedGraph, FeatureMatrix, OrderedPartition, Penalties, _csr_rows, _interleave
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,6 +168,15 @@ def fixed_centroid_cost(
     return feat + penalties.cross_cost(fwd, bwd)
 
 
+def _sorted_in_range(ids: np.ndarray, lo: int, hi: int, name: str) -> np.ndarray:
+    """`ids` in ascending order; an id outside lo..hi raises ValueError naming it."""
+    ordered = np.sort(ids)
+    if ordered.size and (ordered[0] < lo or ordered[-1] > hi):
+        bad = ordered[0] if ordered[0] < lo else ordered[-1]
+        raise ValueError(f"{name} {bad} out of range {lo}..{hi}")
+    return ordered
+
+
 def _h(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """||sum||^2 / count per group row (0 for an empty group), summed over the last axis."""
     sq = (sums * sums).sum(axis=-1)
@@ -192,15 +202,14 @@ def _edge_matrix(k: int) -> np.ndarray:
 class SolveState:
     """Mutable partition state with cached group statistics.
 
-    Caches per-group member counts, feature sums and squared-norm sums, which
-    `apply_move` keeps current in O(d).  `move_deltas` scores vertices' moves
-    from them and the graph's CSR rows in O(k d + deg v) per vertex.  The two
-    cross-edge counts are recounted in O(m) by `cross_edge_counts` the first
-    time a loss or count is read after a move, and kept until the next move
-    (a move asked to keep them current updates them from its own edges);
-    `rebuild` fills them.  So every writer of `assign` must go through
-    `apply_move` or `rebuild`.  Group-indexed arrays have k+1 rows with row 0
-    unused.  Single-owner mutable; not thread-safe.
+    Caches per-group member counts, feature sums and squared-norm sums, and
+    the (forward, backward) cross-edge counts `edge_counts`.  They are always
+    current: `apply_move` updates them in O(d + deg v) per moved vertex, the
+    counts from the vertices' own edges, and `rebuild` recomputes them all.
+    So every writer of `assign` must go through `apply_move` or `rebuild`.
+    `move_deltas` scores vertices' moves from the caches and the graph's CSR
+    rows in O(k d + deg v) per vertex.  Group-indexed arrays have k+1 rows
+    with row 0 unused.  Single-owner mutable; not thread-safe.
     """
 
     def __init__(
@@ -247,16 +256,9 @@ class SolveState:
             if idx.size:
                 self.sums[g] = self.values[idx].sum(axis=0)
                 self.group_sqnorm[g] = self.point_sqnorm[idx].sum()
-        self._edge_counts: Optional[tuple[int, int]] = cross_edge_counts(self.graph, self.assign)
+        self.edge_counts = cross_edge_counts(self.graph, self.assign)
 
     # -- queries ---------------------------------------------------------
-
-    @property
-    def edge_counts(self) -> tuple[int, int]:
-        """(forward, backward) cross-edge counts, recounted after a move."""
-        if self._edge_counts is None:
-            self._edge_counts = cross_edge_counts(self.graph, self.assign)
-        return self._edge_counts
 
     def _h_all(self) -> np.ndarray:
         """|S_g| * ||mu_g||^2 = ||sum_g||^2 / |S_g| of every group."""
@@ -274,13 +276,7 @@ class SolveState:
         return self.breakdown().total
 
     def loss_parts(self) -> LossKey:
-        """The loss key, `breakdown().key`.
-
-        With both weights 0 the counts cannot enter the key, so it is read
-        without recounting the cross edges: coherence + 0.0 is coherence.
-        """
-        if self.penalties.is_zero:
-            return 0, self.coherence()
+        """The loss key, `breakdown().key`, from the cached sums and edge counts."""
         return self.breakdown().key
 
     def centroids(self) -> Centroids:
@@ -305,17 +301,13 @@ class SolveState:
         out-neighbor of vertices[p], plus k+1 for an in-neighbor.  A vertex
         outside 0..n-1 raises ValueError.
         """
-        bad = (vertices < 0) | (vertices >= self.graph.n)
-        if bad.any():
-            raise ValueError(f"vertex {vertices[bad][0]} out of range 0..{self.graph.n - 1}")
+        _sorted_in_range(vertices, 0, self.graph.n - 1, "vertex")
         k1 = self.k + 1
         nbrs, keys = [], []
         degree = np.zeros(vertices.size, dtype=np.int64)
         for (indptr, ids), side in ((self.graph.out_csr, 0), (self.graph.in_csr, k1)):
-            starts = indptr[vertices]
-            deg = indptr[vertices + 1] - starts
-            first = np.cumsum(deg) - deg
-            nbrs.append(ids[np.arange(int(deg.sum())) + np.repeat(starts - first, deg)])
+            pos, deg = _csr_rows(indptr, vertices)
+            nbrs.append(ids[pos])
             keys.append(np.repeat(np.arange(vertices.size) * (2 * k1) + side, deg))
             degree += deg
         key = np.concatenate(keys)
@@ -394,54 +386,68 @@ class SolveState:
         delta[rows, own] = np.inf
         return delta
 
-    def _check_move(self, v: int, target: int) -> None:
-        if not (0 <= v < self.graph.n):
-            raise ValueError(f"vertex {v} out of range 0..{self.graph.n - 1}")
-        if not (1 <= target <= self.k):
-            raise ValueError(f"target group {target} out of range 1..{self.k}")
+    def _check_moves(self, vertices: np.ndarray, targets: np.ndarray) -> None:
+        if vertices.shape != targets.shape:
+            raise ValueError(f"{vertices.size} vertices but {targets.size} targets")
+        ordered = _sorted_in_range(vertices, 0, self.graph.n - 1, "vertex")
+        _sorted_in_range(targets, 1, self.k, "target group")
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("a vertex is moved twice in one batch")
 
     def move_delta(self, v: int, target: int) -> float:
         """Objective change of moving v to group `target`; does not mutate.
 
         One entry of `move_deltas`.  May be +-inf under infinite weights.
         """
-        self._check_move(v, target)
+        vs = np.array([v], dtype=np.int64)
+        self._check_moves(vs, np.array([target], dtype=np.int64))
         if target == self.assign[v]:
             raise ValueError("target group equals the current group")
-        vs = np.array([v], dtype=np.int64)
         _, nbr, key = self.neighbor_layout(vs)
         return float(self.move_deltas(vs, nbr, key)[0, target])
 
-    def apply_move(self, v: int, target: int, count_edges: bool = False) -> None:
-        """Commit the move of v to `target` in O(d).
+    def apply_move(self, vertices, targets) -> None:
+        """Move each of `vertices` to its entry of `targets`, in order.
 
-        The cross-edge counts are recounted when next read, unless
-        `count_edges` is set and they are known: then v's own edges keep them
-        current, in O(deg v).
+        The vertices are distinct, a scalar being one vertex; a target may be
+        the vertex's own group, which leaves it in place.  Each cache row gets
+        -a at a moved vertex's old group and +a at its new one, in commit
+        order, so every float equals that of moving the vertices one at a
+        time.  The edge counts change by the moved vertices' own edges, each
+        edge taken once, in O(d + deg v) per vertex.  A vertex or target out
+        of range, a repeated vertex or unequal lengths raise ValueError
+        before anything changes.
         """
-        self._check_move(v, target)
-        i = int(self.assign[v])
-        if target == i:
-            return
-        if count_edges and self._edge_counts is not None:
-            (out_ptr, heads), (in_ptr, tails) = self.graph.out_csr, self.graph.in_csr
-            g_out = self.assign[heads[out_ptr[v]:out_ptr[v + 1]]]
-            g_in = self.assign[tails[in_ptr[v]:in_ptr[v + 1]]]
-            fwd, bwd = self._edge_counts
-            for g, sign in ((i, -1), (target, 1)):
-                fwd += sign * int(np.count_nonzero(g_out > g) + np.count_nonzero(g_in < g))
-                bwd += sign * int(np.count_nonzero(g_out < g) + np.count_nonzero(g_in > g))
-            self._edge_counts = (fwd, bwd)
-        else:
-            self._edge_counts = None
-        a = self.values[v]
-        self.sums[i] -= a
-        self.sums[target] += a
-        self.counts[i] -= 1
-        self.counts[target] += 1
-        self.group_sqnorm[i] -= self.point_sqnorm[v]
-        self.group_sqnorm[target] += self.point_sqnorm[v]
-        self.assign[v] = target
+        vs, ts = (np.atleast_1d(np.asarray(x, dtype=np.int64)) for x in (vertices, targets))
+        self._check_moves(vs, ts)
+        olds = self.assign[vs]
+        moved = olds != ts
+        vs, ts, olds = vs[moved], ts[moved], olds[moved]
+
+        # the moved vertices' out-edges, then their in-edges, as the tails of
+        # all of them followed by their heads; an in-edge whose tail moved too
+        # is that tail's out-edge, so it is taken only there
+        (out_ptr, heads), (in_ptr, tails) = self.graph.out_csr, self.graph.in_csr
+        out_at, n_out = _csr_rows(out_ptr, vs)
+        in_at, n_in = _csr_rows(in_ptr, vs)
+        ends = np.concatenate((np.repeat(vs, n_out), tails[in_at], heads[out_at], np.repeat(vs, n_in)))
+        before = self.assign[ends]
+        self.assign[vs] = ts
+        after = self.assign[ends]
+        m = ends.size // 2
+        once = before[:m] == after[:m]
+        once[: out_at.size] = True
+        # per labelling, edges by the sign of head group minus tail group: backward, inner, forward
+        was, now = (np.bincount(np.sign(g[m:] - g[:m])[once] + 1, minlength=3) for g in (before, after))
+        fwd, bwd = self.edge_counts
+        self.edge_counts = (fwd + int(now[2] - was[2]), bwd + int(now[0] - was[0]))
+
+        np.subtract.at(self.counts, olds, 1)
+        np.add.at(self.counts, ts, 1)
+        groups = _interleave(olds, ts)  # old, new, old, new, ...
+        a, sq = self.values[vs], self.point_sqnorm[vs]
+        np.add.at(self.sums, groups, _interleave(-a, a))
+        np.add.at(self.group_sqnorm, groups, _interleave(-sq, sq))
 
     # -- verification ----------------------------------------------------
 

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DirectedGraph, FeatureMatrix, OrderedPartition, Penalties
+from .core import DirectedGraph, FeatureMatrix, OrderedPartition, Penalties, _csr_rows
 from .objective import Centroids, vertex_group_costs
 
 
@@ -87,13 +87,10 @@ class TreeLayout:
         parent[graph.edge_dst] = graph.edge_src
         levels = [roots]
         while True:
-            first, last = indptr[levels[-1]], indptr[levels[-1] + 1]
-            sizes = last - first
-            total = int(sizes.sum())
-            if total == 0:
+            children, _ = _csr_rows(indptr, levels[-1])  # parent by parent
+            if children.size == 0:
                 break
-            # Offsets into `heads` of every child of the level, parent by parent.
-            levels.append(heads[np.repeat(last - np.cumsum(sizes), sizes) + np.arange(total)])
+            levels.append(heads[children])
         return cls(levels=tuple(levels), parent=parent)
 
 

@@ -108,7 +108,7 @@ def test_criterion_2_two_group_cut_exactness():
         cents = Centroids.from_rows([mu1, mu2])
         for bits in itertools.product((1, 2), repeat=n):
             part = OrderedPartition.from_labels(2, list(bits))
-            side = {net.source} | {v for v in range(n) if bits[v] == 1}
+            side = np.append(np.array(bits) == 1, [True, False])  # then the source n, the sink n + 1
             q = fixed_centroid_cost(g, f, part, cents, pen)
             worst_id = max(worst_id, abs(net.cut_weight(side) - q) / max(1.0, q))
     elapsed = time.perf_counter() - t0
@@ -136,7 +136,9 @@ def test_criterion_3_flow_kernel_against_bipartition_enumeration():
         others = [x for x in range(n) if x not in (0, n - 1)]
         best = math.inf
         for bits in itertools.product((False, True), repeat=len(others)):
-            chosen = {0} | {x for x, b in zip(others, bits) if b}
+            chosen = np.zeros(n, dtype=bool)
+            chosen[0] = True
+            chosen[others] = bits
             best = min(best, net.cut_weight(chosen))
         worst = max(worst, abs(value - best))
         assert abs(net.cut_weight(side) - best) <= 1e-9

@@ -35,10 +35,13 @@ from conftest import finite_parts, random_digraph, random_features, rel_close
 
 
 def all_source_sides(net: FlowNetwork):
-    """Every one of the 2^(n-2) source sides (independent route)."""
+    """Every one of the 2^(n-2) source sides as node masks (independent route)."""
     others = [x for x in range(net.num_nodes) if x not in (net.source, net.sink)]
     for bits in itertools.product((False, True), repeat=len(others)):
-        yield {net.source} | {x for x, b in zip(others, bits) if b}
+        side = np.zeros(net.num_nodes, dtype=bool)
+        side[net.source] = True
+        side[others] = bits
+        yield side
 
 
 def brute_force_min_cut(net: FlowNetwork) -> float:
@@ -46,18 +49,22 @@ def brute_force_min_cut(net: FlowNetwork) -> float:
     return min(net.cut_weight(side) for side in all_source_sides(net))
 
 
-def plain_dinic(net: FlowNetwork) -> tuple[float, set[int]]:
+def plain_dinic(net: FlowNetwork) -> tuple[float, np.ndarray]:
     """Dinic on the whole network, without the forced-node reduction."""
-    flags = mincut._dinic(net.num_nodes, net.source, net.sink, net.tails, net.heads, net.caps)
-    side = {v for v, on_source in enumerate(flags) if on_source}
+    side = mincut._dinic(net.num_nodes, net.source, net.sink, net.tails, net.heads, net.caps)
     return net.cut_weight(side), side
+
+
+def same_cut(a, b) -> bool:
+    """Equal values and the same source-side mask, flag for flag."""
+    return a[0] == b[0] and a[1].dtype == b[1].dtype == bool and np.array_equal(a[1], b[1])
 
 
 def test_flow_two_arc_chain():
     net = FlowNetwork.from_arcs(3, 0, 2, [0, 1], [1, 2], [3.0, 1.0])
     value, side = max_flow_min_cut(net)
     assert rel_close(value, 1.0)
-    assert side == {0, 1}
+    assert np.array_equal(side, [True, True, False])
 
 
 def test_flow_single_direct_arc():
@@ -85,7 +92,7 @@ def test_flow_matches_brute_force():
                 caps.append(float(rng.uniform(0, 4)))
         net = FlowNetwork.from_arcs(n, 0, n - 1, tails, heads, caps)
         value, side = max_flow_min_cut(net)
-        assert 0 in side and n - 1 not in side
+        assert side.shape == (n,) and side[0] and not side[n - 1]
         best = brute_force_min_cut(net)
         assert abs(value - best) <= 1e-9
         assert abs(net.cut_weight(side) - best) <= 1e-9
@@ -108,7 +115,8 @@ def test_flow_side_is_the_union_of_all_minimum_cuts():
         weights = [(net.cut_weight(c), c) for c in all_source_sides(net)]
         best = min(w for w, _ in weights)
         assert value == best
-        assert side == set().union(*(c for w, c in weights if w == best))
+        union = np.logical_or.reduce([c for w, c in weights if w == best])
+        assert np.array_equal(side, union)
 
 
 @hst.composite
@@ -131,8 +139,7 @@ def flow_networks(draw):
 @settings(max_examples=400, deadline=None)
 @given(flow_networks())
 def test_reduction_matches_plain_dinic(net):
-    value, side = max_flow_min_cut(net)
-    assert (value, side) == plain_dinic(net)
+    assert same_cut(max_flow_min_cut(net), plain_dinic(net))
 
 
 def test_zero_weight_network_without_ties_needs_no_flow(monkeypatch):
@@ -148,8 +155,9 @@ def test_zero_weight_network_without_ties_needs_no_flow(monkeypatch):
     expected = plain_dinic(net)
     monkeypatch.setattr(mincut, "_dinic", refuse)
     value, side = max_flow_min_cut(net)
-    assert (value, side) == expected
-    assert side - {net.source} == {v for v in range(40) if f.values[v, 0] < 0.5}
+    assert same_cut((value, side), expected)
+    assert np.array_equal(np.flatnonzero(side[:40]), np.flatnonzero(f.values[:, 0] < 0.5))
+    assert side[net.source] and not side[net.sink]
 
 
 def test_from_arcs_rejects_invalid_input():
@@ -302,7 +310,7 @@ def test_cut_weight_equals_objective_for_every_cut():
         cents = Centroids.from_rows([mu1, mu2])
         for bits in itertools.product((1, 2), repeat=n):
             part = OrderedPartition.from_labels(2, list(bits))
-            side = {net.source} | {v for v in range(n) if bits[v] == 1}
+            side = np.append(np.array(bits) == 1, [True, False])  # then the source n, the sink n + 1
             q = fixed_centroid_cost(g, f, part, cents, pen)
             assert abs(net.cut_weight(side) - q) <= 1e-9 * max(1.0, q)
 

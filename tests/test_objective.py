@@ -280,6 +280,57 @@ def test_moves_reject_vertex_out_of_range_before_mutating(v):
     _assert_unchanged(st, before)
 
 
+@pytest.mark.parametrize("vertices, targets, message", [
+    ([0, 3], [2, 2], "vertex 3 out of range 0..2"),
+    ([0, 1], [2, 0], "target group 0 out of range 1..2"),
+    ([0, 2, 0], [2, 1, 2], "moved twice"),
+    ([0, 1], [2], "2 vertices but 1 targets"),
+])
+def test_grouped_move_rejects_bad_input_before_mutating(vertices, targets, message):
+    st, before = _move_fixture()
+    with pytest.raises(ValueError, match=message):
+        st.apply_move(vertices, targets)
+    _assert_unchanged(st, before)
+
+
+def _distinct_moves(n: int, k: int):
+    """Moves of distinct vertices, as (vertices, targets) arrays; a target may be the own group."""
+    moves = hst.lists(hst.tuples(hst.integers(0, n - 1), hst.integers(1, k)),
+                      max_size=n, unique_by=lambda m: m[0])
+    return moves.map(lambda ms: np.array(ms, dtype=np.int64).reshape(-1, 2).T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(), hst.integers(1, 5), hst.data())
+def test_grouped_move_equals_the_same_moves_one_at_a_time(g, k, data):
+    weights = hst.sampled_from([0.0, 0.5, math.inf])
+    pen = Penalties(data.draw(weights), data.draw(weights))
+    floats = hst.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    features = FeatureMatrix.from_array(
+        data.draw(hst.lists(hst.tuples(floats, floats), min_size=g.n, max_size=g.n)))
+    labels = data.draw(hst.lists(hst.integers(1, k), min_size=g.n, max_size=g.n))
+    grouped = SolveState(g, features, pen, labels, k)
+    single = SolveState(g, features, pen, labels, k)
+
+    def move_both(vs, targets):
+        grouped.apply_move(vs, targets)
+        for v, target in zip(vs.tolist(), targets.tolist()):
+            single.apply_move(v, target)
+        for name in ("sums", "group_sqnorm", "counts", "assign"):
+            mine, theirs = getattr(grouped, name), getattr(single, name)
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
+        assert grouped.edge_counts == single.edge_counts == cross_edge_counts(g, grouped.assign)
+        assert all(type(c) is int for c in grouped.edge_counts + single.edge_counts)
+
+    for revert in data.draw(hst.lists(hst.booleans(), min_size=1, max_size=4)):
+        vs, targets = data.draw(_distinct_moves(g.n, k))
+        olds = grouped.assign[vs]
+        move_both(vs, targets)
+        if revert:  # apply, read, then revert, as `pair_sweep` does
+            grouped.loss_parts()
+            move_both(vs, olds)
+
+
 @settings(max_examples=300, deadline=None)
 @given(multigraphs(), hst.integers(0, 2), hst.integers(1, 5), hst.data())
 def test_cached_edge_counts_are_never_stale(g, isolated, k, data):
@@ -307,19 +358,19 @@ def test_cached_edge_counts_are_never_stale(g, isolated, k, data):
         assert rel_close(finite, fresh.coherence + fresh_finite)
 
     assert_fresh()
-    ops = ["moves", "counted moves", "revert", "rebuild", "write"]
+    ops = ["moves", "grouped moves", "revert", "rebuild", "write"]
     for op in data.draw(hst.lists(hst.sampled_from(ops), max_size=8)):
-        if op in ("moves", "counted moves"):  # targets may be a vertex's own group
+        if op == "moves":  # one call per move; targets may be a vertex's own group
             for v, target in data.draw(moves):
-                state.apply_move(v, target, count_edges=op == "counted moves")
-        elif op == "revert":  # apply, read, then revert, as `pair_sweep` does
-            changed = data.draw(moves)
-            olds = [int(state.assign[v]) for v, _ in changed]
-            for v, target in changed:
                 state.apply_move(v, target)
+        elif op == "grouped moves":
+            state.apply_move(*data.draw(_distinct_moves(g.n, k)))
+        elif op == "revert":  # apply, read, then revert, as `pair_sweep` does
+            vs, targets = data.draw(_distinct_moves(g.n, k))
+            olds = state.assign[vs]
+            state.apply_move(vs, targets)
             state.loss_parts()
-            for (v, _), old in reversed(list(zip(changed, olds))):
-                state.apply_move(v, old)
+            state.apply_move(vs, olds)
         elif op == "rebuild":
             state.rebuild()
         else:
@@ -335,7 +386,7 @@ def test_zero_weight_loss_key_skips_the_edge_recount(monkeypatch):
     for v in range(0, 40, 3):
         state.apply_move(v, v % 4 + 1)
     key = state.loss_parts()
-    full = state.breakdown().key  # recounts the moved state's edges
+    full = state.breakdown().key
     assert key == full and type(key[0]) is type(full[0])
     assert np.float64(key[1]).tobytes() == np.float64(full[1]).tobytes()
 
@@ -350,19 +401,19 @@ def test_counted_moves_keep_known_edge_counts_without_a_recount(monkeypatch):
     rng = np.random.default_rng(5)
     g = random_digraph(rng, 40, 160)
     state = SolveState(g, random_features(rng, 40, 3), Penalties(0.5, 2.0), rng.integers(1, 5, size=40), 4)
-    moves = [(int(v), int(t)) for v, t in zip(rng.integers(0, 40, size=60), rng.integers(1, 5, size=60))]
+    singles = [(int(v), int(t)) for v, t in zip(rng.integers(0, 40, size=60), rng.integers(1, 5, size=60))]
+    batches = [(rng.permutation(40)[:size], rng.integers(1, 5, size=size)) for size in (1, 5, 17, 40)]
+    moves = singles + batches
     expected = []
-    probe = SolveState(g, state.features, state.penalties, state.assign, 4)
+    labels = state.assign.copy()
     for v, t in moves:
-        probe.apply_move(v, t)
-        expected.append(probe.edge_counts)  # recounted
+        labels[v] = t
+        expected.append(cross_edge_counts(g, labels))
 
     def refuse(*args):
         raise AssertionError("cross edges recounted")
     monkeypatch.setattr(objective, "cross_edge_counts", refuse)
     for (v, t), counts in zip(moves, expected):
-        state.apply_move(v, t, count_edges=True)
+        state.apply_move(v, t)
         assert state.edge_counts == counts
-    state.apply_move(0, int(state.assign[0]) % 4 + 1)  # uncounted: recounted on the next read
-    with pytest.raises(AssertionError, match="recounted"):
-        state.edge_counts
+        assert state.loss_parts() == state.breakdown().key
