@@ -19,6 +19,8 @@ from .core import (
     OrderedPartition,
     Penalties,
     _content_lines,
+    _INT64_MAX,
+    _INT64_MIN,
     features_to_table,
     graph_to_edge_list,
     load_features,
@@ -99,9 +101,6 @@ def _result_payload(graph, k, penalties, algo, result, seconds) -> str:
         "seconds": seconds,
     }
     return json.dumps(payload, indent=2) + "\n"
-
-
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def _read_assignment(path: str) -> OrderedPartition:

@@ -19,7 +19,7 @@ import numpy as np
 
 TextSource = Union[str, bytes, IO]
 
-_INT64_MAX = 2**63 - 1
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 _CHUNK = 256  # lines per join and split in the bulk parsers
 
 
@@ -365,9 +365,10 @@ def features_to_table(features: FeatureMatrix) -> str:
 class Penalties:
     """Cross-edge weight pair (lambda_f, lambda_b); either may be math.inf.
 
-    Arithmetic saturates: an infinite weight absorbs addition and dominates
-    comparison, and a zero edge count contributes zero even at infinite
-    weight.
+    `split` is the one place a weight meets an edge count: it prices counts
+    as (count of infinitely weighted edges, finite penalty), and every cost,
+    move delta and cut arc is built from those two parts.  An infinite weight
+    is never multiplied, so a zero count costs zero even at infinite weight.
     """
 
     lambda_f: float
@@ -404,31 +405,6 @@ class Penalties:
         else:
             finite = finite + self.lambda_b * backward
         return inf_edges, finite
-
-    def cross_cost(self, forward, backward):
-        """Total penalty of the given cross-edge counts (0 * inf == 0).
-
-        Elementwise on numpy arrays, like `split`; scalars give a float.
-        """
-        inf_edges, finite = self.split(forward, backward)
-        return _float_if_scalar(np.where(inf_edges != 0, math.inf, finite))
-
-    def cross_cost_delta(self, d_forward, d_backward):
-        """Signed penalty change for count changes (d_forward, d_backward).
-
-        With an infinite weight, the sign of the net change in the count of
-        infinitely-penalized edges decides the result: gaining such an edge
-        yields +inf, shedding one yields -inf, and an unchanged count falls
-        back to the finite part.  Elementwise like `cross_cost`.
-        """
-        inf_change, finite = self.split(d_forward, d_backward)
-        if math.isinf(self.lambda_f) or math.isinf(self.lambda_b):
-            finite = np.where(inf_change > 0, math.inf, np.where(inf_change < 0, -math.inf, finite))
-        return _float_if_scalar(np.asarray(finite, dtype=np.float64))
-
-
-def _float_if_scalar(x: np.ndarray):
-    return float(x) if x.ndim == 0 else x
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,13 +29,13 @@ exceeds the price of j by more than `_EPS`, group i otherwise.
 
 `sweep_step()` keeps, for each pair (i, j), the inputs of the pair's last
 cut and its result, and reuses the result while the same `SolveState`
-comes back with those inputs unchanged, bit for bit.  The inputs are each
-vertex's band (in group i or j, in a group strictly between, or elsewhere:
-all a pair network reads of the labels) and the two centers, as
-`SolveState.centroids` divides them from the running sums.  Given the
-state's graph, features and penalties the network is a pure function of
-these, so a reused result is the one a new cut would return.  A step handed
-a different state forgets what it kept.
+comes back with those inputs unchanged, bit for bit.  One helper,
+`_pair_inputs`, gives the inputs to both the key and the builder: each
+vertex's band (in group i or j, in a group strictly between, or elsewhere)
+and the two centers from `SolveState.centroids`.  Given the state's graph,
+features and penalties `_pair_network` reads nothing else, so a reused
+result is the one a new cut would return.  A step handed a different state
+forgets what it kept.
 """
 
 from __future__ import annotations
@@ -68,11 +68,12 @@ class FlowNetwork:
     Arc a runs from `tails[a]` to `heads[a]` with capacity `caps[a]`: parallel
     int64 and float64 arrays in arc order.  Capacities are finite and
     non-negative.  `from_arcs` rounds finite inputs below 2^12 to the 2^-40
-    grid (larger floats already sit on it) and adds the sentinel once per
-    infinitely weighted edge an arc carries (`inf_counts`; an infinite
-    capacity counts as one).  The sentinel is one plus the finite parts summed
-    in arc order (plain left-to-right float addition, the same on every Python
-    version).  `node_labels` maps internal vertex nodes back to graph vertex ids.
+    grid (larger floats already sit on it) and prices every arc by one rule:
+    its finite part plus the sentinel once per infinitely weighted edge it
+    carries (`inf_counts`, zero by default; an infinite capacity counts as
+    one).  The sentinel is one plus the finite parts summed in arc order
+    (plain left-to-right float addition, the same on every Python version).
+    `node_labels` maps internal vertex nodes back to graph vertex ids.
     """
 
     num_nodes: int
@@ -99,10 +100,11 @@ class FlowNetwork:
         tails = np.array(tails, dtype=np.int64)
         heads = np.array(heads, dtype=np.int64)
         caps = np.array(caps, dtype=np.float64)
-        if inf_counts is not None:
-            inf_counts = np.asarray(inf_counts, dtype=np.int64)
-            if inf_counts.shape != caps.shape or (inf_counts.size and inf_counts.min() < 0):
-                raise ValueError("inf_counts must hold one non-negative count per arc")
+        if inf_counts is None:
+            inf_counts = np.zeros(caps.shape, dtype=np.int64)
+        inf_counts = np.asarray(inf_counts, dtype=np.int64)
+        if inf_counts.shape != caps.shape or (inf_counts.size and inf_counts.min() < 0):
+            raise ValueError("inf_counts must hold one non-negative count per arc")
         if not (0 <= source < num_nodes and 0 <= sink < num_nodes and source != sink):
             raise ValueError(
                 f"source and sink must be two different nodes in 0..{num_nodes - 1}, "
@@ -121,11 +123,8 @@ class FlowNetwork:
         infinite = np.isinf(caps)
         # plain left-to-right addition: sum() compensates from Python 3.12 on
         sentinel = 1.0 + float(np.cumsum(np.append(0.0, caps[~infinite]))[-1])
-        if inf_counts is None:
-            caps[infinite] = sentinel
-        else:
-            caps[infinite] = 0.0
-            caps += (inf_counts + infinite) * sentinel
+        caps[infinite] = 0.0
+        caps += (inf_counts + infinite) * sentinel
         labels = None if node_labels is None else np.asarray(node_labels, dtype=np.int64)
         return cls(num_nodes, source, sink, tails, heads, caps, sentinel, labels)
 
@@ -307,27 +306,22 @@ def _with_terminals(source_caps, sink_caps, tails, heads, caps):
 
 
 def _pair_network(
-    graph: DirectedGraph,
-    values: np.ndarray,
-    assign: np.ndarray,
-    i: int,
-    j: int,
-    centers,
-    penalties: Penalties,
+    graph: DirectedGraph, values: np.ndarray, bands: np.ndarray, centers, penalties: Penalties
 ) -> FlowNetwork:
-    """Cut network that splits the vertices labelled i or j (i < j) between i and j.
+    """Cut network that splits the members of a group pair (i, j), i < j, between i and j.
 
-    They become nodes 0..m-1 in id order (`node_labels`), the source m and
-    the sink m + 1.  Arcs in the order max-flow tie-breaking depends on:
-    (s, v) at v's price of group j and (v, t) at its price of group i, for
-    each node v, then (u, w) at lambda_f and (w, u) at lambda_b for each
-    in-pair edge in edge order.  A price adds to the squared distance to the
-    group's center (a row of `centers`) the weight of v's edges to the groups
-    strictly between i and j, its infinitely weighted ones counted in
+    `bands` and `centers` are the pair's inputs (`_pair_inputs`): per vertex
+    1 for a member, 2 in a group strictly between i and j, 0 elsewhere; and
+    the centers of i and j as two rows.  The members become nodes 0..m-1 in
+    id order (`node_labels`), the source m and the sink m + 1.  Arcs in the
+    order max-flow tie-breaking depends on: (s, v) at v's price of group j
+    and (v, t) at its price of group i, for each node v, then (u, w) at
+    lambda_f and (w, u) at lambda_b for each in-pair edge in edge order.  A
+    price adds to the squared distance to the group's center the weight of
+    v's edges to band 2, its infinitely weighted ones counted in
     `inf_counts`; edges to other groups cost the same either way.
     """
-    in_pair = (assign == i) | (assign == j)
-    between = (assign > i) & (assign < j)
+    in_pair, between = bands == 1, bands == 2
     members = np.flatnonzero(in_pair)
     m = members.size
     costs = _member_prices(values, members, centers)
@@ -349,10 +343,9 @@ def _pair_network(
         _interleave(tails, heads), _interleave(heads, tails),
         _interleave(np.full(tails.size, penalties.lambda_f), penalties.lambda_b),
     )
-    counts = None
-    if penalties.lambda_f + penalties.lambda_b == np.inf:  # only an infinite weight has counts
-        counts = np.zeros(arcs[2].size, dtype=np.int64)
-        counts[: 2 * m] = _interleave(to_j_count, to_i_count)
+    # strided slices, not `_interleave`: at finite weights both counts are a scalar 0
+    counts = np.zeros(arcs[2].size, dtype=np.int64)
+    counts[0 : 2 * m : 2], counts[1 : 2 * m : 2] = to_j_count, to_i_count
     return FlowNetwork.from_arcs(m + 2, m, m + 1, *arcs, node_labels=members, inf_counts=counts)
 
 
@@ -385,9 +378,8 @@ def build_cut_graph_k2(
     """
     if features.n != graph.n:
         raise ValueError("feature row count does not match graph vertex count")
-    return _pair_network(
-        graph, features.values, np.ones(graph.n, dtype=np.int64), 1, 2, [mu1, mu2], penalties
-    )
+    bands = np.ones(graph.n, dtype=np.int8)  # every vertex is a member
+    return _pair_network(graph, features.values, bands, [mu1, mu2], penalties)
 
 
 def solve_two_partition(
@@ -419,11 +411,7 @@ def build_cut_graph_pair(state: SolveState, i: int, j: int) -> FlowNetwork:
     """
     if not (1 <= i < j <= state.k):
         raise ValueError(f"expected 1 <= i < j <= {state.k}, got ({i}, {j})")
-    cents = state.centroids()
-    return _pair_network(
-        state.graph, state.values, state.assign, i, j,
-        [cents.mu_for(i), cents.mu_for(j)], state.penalties,
-    )
+    return _pair_network(state.graph, state.values, *_pair_inputs(state, i, j), state.penalties)
 
 
 def redistribute_pair(state: SolveState, i: int, j: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -437,33 +425,38 @@ def redistribute_pair(state: SolveState, i: int, j: int) -> Optional[tuple[np.nd
     if state.counts[i] == 0 or state.counts[j] == 0:
         return None
     if state.penalties.is_zero:
-        members = np.flatnonzero((state.assign == i) | (state.assign == j))
-        cents = state.centroids()
-        prices = _snap(_member_prices(state.values, members, [cents.mu_for(i), cents.mu_for(j)]))
+        bands, centers = _pair_inputs(state, i, j)
+        members = np.flatnonzero(bands == 1)
+        prices = _snap(_member_prices(state.values, members, centers))
         return members, np.where(prices[:, 0] - prices[:, 1] > _EPS, j, i)
     net = build_cut_graph_pair(state, i, j)
     return net.node_labels, _cut_labels(net, i, j)
 
 
-def _pair_bands(assign: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Per vertex: 1 in group i or j, 2 in a group strictly between, 0 elsewhere."""
-    bands = ((assign > i) & (assign < j)).astype(np.int8) * 2
-    bands[(assign == i) | (assign == j)] = 1
-    return bands
+def _pair_inputs(state: SolveState, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(bands, centers): all the cut network of pair (i, j) reads of the labels and sums.
+
+    Per vertex the band is 1 in group i or j, 2 in a group strictly between,
+    0 elsewhere; the centers are the rows of groups i and j of
+    `state.centroids()`, which must both be defined.  The builder prices
+    these and the reuse key hashes them, so equal bytes give the same network.
+    """
+    band_of_group = np.zeros(state.k + 1, dtype=np.int8)
+    band_of_group[i + 1 : j] = 2
+    band_of_group[[i, j]] = 1
+    cents = state.centroids()
+    return band_of_group[state.assign], np.array([cents.mu_for(i), cents.mu_for(j)])
 
 
 def _pair_cut(state: SolveState, i: int, j: int, cuts: dict):
     """`redistribute_pair(state, i, j)`, or the pair's last result while its inputs are unchanged.
 
-    `cuts[(i, j)]` holds the bytes of the bands and both centers the pair's
-    last cut read, and which members that cut put in group i; equal bytes
-    give the same network.
+    `cuts[(i, j)]` holds the bytes of the `_pair_inputs` the pair's last cut
+    read, and which members that cut put in group i.
     """
     if state.counts[i] == 0 or state.counts[j] == 0:
         return None
-    pair = [i, j]
-    centers = state.sums[pair] / state.counts[pair, None]  # the division `centroids` makes
-    bands = _pair_bands(state.assign, i, j)
+    bands, centers = _pair_inputs(state, i, j)
     key = bands.tobytes() + centers.tobytes()
     last = cuts.get((i, j))
     if last is not None and last[0] == key:

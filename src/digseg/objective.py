@@ -164,8 +164,7 @@ def fixed_centroid_cost(
     if partition.n:
         mu_rows = centroids.mu[assign - 1]
         feat = float(((features.values - mu_rows) ** 2).sum())
-    fwd, bwd = cross_edge_counts(graph, assign)
-    return feat + penalties.cross_cost(fwd, bwd)
+    return CostBreakdown.of(feat, *cross_edge_counts(graph, assign), penalties).total
 
 
 def _sorted_in_range(ids: np.ndarray, lo: int, hi: int, name: str) -> np.ndarray:
@@ -379,9 +378,11 @@ class SolveState:
             nbr_counts = np.bincount(key + labels, minlength=vertices.size * 2 * k1)
             at = nbr_counts.reshape(vertices.size, 2 * k1) @ _edge_matrix(self.k)
             fwd_at, bwd_at = at[:, :k1], at[:, k1:]
-            dfwd = fwd_at - fwd_at[rows, own][:, None]
-            dbwd = bwd_at - bwd_at[rows, own][:, None]
-            delta += self.penalties.cross_cost_delta(dfwd, dbwd)
+            inf_change, finite = self.penalties.split(
+                fwd_at - fwd_at[rows, own][:, None], bwd_at - bwd_at[rows, own][:, None]
+            )
+            # a move that adds, sheds or keeps infinitely weighted edges: +inf, -inf, finite part
+            delta += np.where(inf_change, np.copysign(np.inf, inf_change), finite)
         delta[:, 0] = np.inf
         delta[rows, own] = np.inf
         return delta

@@ -54,7 +54,10 @@ def best_move(state: SolveState, v: int) -> tuple[int, float]:
     dfwd = fwd_at - fwd_at[i]
     dbwd = bwd_at - bwd_at[i]
 
-    delta = d_coh + state.penalties.cross_cost_delta(dfwd, dbwd)
+    # a move that gains an infinitely weighted edge costs +inf, one that sheds
+    # such an edge gains -inf; with their count unchanged the finite part counts
+    inf_change, finite = state.penalties.split(dfwd, dbwd)
+    delta = d_coh + np.where(inf_change > 0, math.inf, np.where(inf_change < 0, -math.inf, finite))
     delta[0] = math.inf
     delta[i] = math.inf
     best_j = int(np.argmin(delta[1:])) + 1

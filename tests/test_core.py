@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 
 from digseg import (
+    CostBreakdown,
     DirectedGraph,
     EdgeListError,
     FeatureFileError,
     FeatureMatrix,
     OrderedPartition,
     Penalties,
+    SolveState,
     graph_to_edge_list,
     load_features,
     load_graph,
@@ -218,44 +220,65 @@ def test_penalties_validation():
 
 
 def test_penalties_cross_cost_saturating():
+    # costs are priced through the loss key: 0 * inf contributes nothing
     p = Penalties(2.0, math.inf)
-    assert p.cross_cost(3, 0) == 6.0  # 0 * inf contributes nothing
-    assert p.cross_cost(0, 1) == math.inf
-    assert p.cross_cost(0, 0) == 0.0
+    assert CostBreakdown.of(1.5, 3, 0, p).key == (0, 7.5)
+    assert CostBreakdown.of(1.5, 3, 0, p).total == 7.5
+    assert CostBreakdown.of(1.5, 0, 1, p).key == (1, 1.5)
+    assert CostBreakdown.of(1.5, 0, 1, p).total == math.inf
+    assert CostBreakdown.of(0.0, 0, 0, p).total == 0.0
+    assert CostBreakdown.of(0.0, 0, 0, Penalties(math.inf, math.inf)).key == (0, 0.0)
+
+
+def _edge_move_delta(edges, labels, v, target, penalties):
+    """`SolveState.move_delta` over k = 3 groups of equal features: only the edge term is left."""
+    n = len(labels)
+    g = DirectedGraph.from_edges(n, edges)
+    f = FeatureMatrix.from_array(np.zeros((n, 1)))
+    return SolveState(g, f, penalties, labels, 3).move_delta(v, target)
 
 
 def test_penalties_cross_cost_delta():
+    # a move that adds infinitely weighted edges costs +inf and one that sheds
+    # them gains -inf, whatever its finite part; an unchanged count of them
+    # leaves the finite part
     p = Penalties(2.0, math.inf)
-    assert p.cross_cost_delta(1, 0) == 2.0
-    assert p.cross_cost_delta(-3, 0) == -6.0
-    assert p.cross_cost_delta(5, 1) == math.inf
-    assert p.cross_cost_delta(5, -1) == -math.inf
+    assert _edge_move_delta([(0, 1)], [1, 1], 1, 2, p) == 2.0  # one forward edge more
+    fan = [(0, 1), (0, 2), (0, 3)]
+    assert _edge_move_delta(fan, [1, 2, 2, 2], 0, 2, p) == -6.0  # three forward edges fewer
+    fan = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]
+    # five forward edges more, and vertex 6's edge becomes backward or stops being one
+    assert _edge_move_delta(fan + [(6, 0)], [2, 2, 2, 2, 2, 2, 2], 0, 1, p) == math.inf
+    assert _edge_move_delta(fan + [(0, 6)], [2, 2, 2, 2, 2, 2, 1], 0, 1, p) == -math.inf
     both = Penalties(math.inf, math.inf)
-    assert both.cross_cost_delta(-1, 1) == 0.0  # net infinite count unchanged
+    # a forward edge turns backward: the count of infinitely weighted edges holds
+    assert _edge_move_delta([(0, 1)], [1, 2], 0, 3, both) == 0.0
 
 
-def _delta_by_formula(lam_f, lam_b, d_f, d_b):
-    """lambda_f*d_f + lambda_b*d_b, with an infinite weight's side counted apart."""
-    inf_change = (d_f if math.isinf(lam_f) else 0) + (d_b if math.isinf(lam_b) else 0)
-    if inf_change:
-        return math.inf if inf_change > 0 else -math.inf
-    return (0.0 if math.isinf(lam_f) else lam_f * d_f) + (0.0 if math.isinf(lam_b) else lam_b * d_b)
+def _split_by_formula(lam_f, lam_b, d_f, d_b):
+    """(change of the infinite sides' count, lambda * change of each finite side), summed."""
+    inf_f, inf_b = math.isinf(lam_f), math.isinf(lam_b)
+    inf_change = (d_f if inf_f else 0) + (d_b if inf_b else 0)
+    return inf_change, (0.0 if inf_f else lam_f * d_f) + (0.0 if inf_b else lam_b * d_b)
 
 
 @pytest.mark.parametrize("lam_f", [0.0, 0.1, 1e5, math.inf])
 @pytest.mark.parametrize("lam_b", [0.0, 0.1, 1e5, math.inf])
 def test_penalties_cross_cost_delta_equals_the_weighted_sum(lam_f, lam_b):
+    # a cross-cost change in split form: `split` of signed count changes,
+    # elementwise on arrays as on scalars
     pen = Penalties(lam_f, lam_b)
     rng = np.random.default_rng(5)
     d_f = rng.integers(-4, 5, size=(6, 7))
     d_b = rng.integers(-4, 5, size=(6, 7))
-    got = pen.cross_cost_delta(d_f, d_b)
-    assert got.dtype == np.float64 and got.shape == d_f.shape
-    for f, b, g in zip(d_f.ravel().tolist(), d_b.ravel().tolist(), got.ravel().tolist()):
-        want = _delta_by_formula(lam_f, lam_b, f, b)
-        assert g == want
-        for scalar in (pen.cross_cost_delta(f, b), pen.cross_cost_delta(np.int64(f), np.int64(b))):
-            assert type(scalar) is float and scalar == want
+    inf_change, finite = (np.broadcast_to(x, d_f.shape) for x in pen.split(d_f, d_b))
+    assert inf_change.dtype.kind == "i" and finite.dtype == np.float64
+    got = zip(inf_change.ravel().tolist(), finite.ravel().tolist())
+    for f, b, parts in zip(d_f.ravel().tolist(), d_b.ravel().tolist(), got):
+        want = _split_by_formula(lam_f, lam_b, f, b)
+        assert parts == want
+        for scalar in (pen.split(f, b), pen.split(np.int64(f), np.int64(b))):
+            assert scalar == want
 
 
 def test_partition_validation():

@@ -117,6 +117,26 @@ def test_run_greedy_incremental_state_matches_rebuild():
     assert st.cache_drift() <= 1e-9
 
 
+def test_scan_step_rebuilds_the_caches_every_revalidate_every_iterations(monkeypatch):
+    rng = np.random.default_rng(66)
+    st = random_state(rng, 40, 90, 2, 3, Penalties(0.5, 2.0))
+    rebuilds = []
+    rebuild = SolveState.rebuild
+
+    def counted(self):
+        rebuilds.append(self)
+        rebuild(self)
+
+    monkeypatch.setattr(SolveState, "rebuild", counted)
+    step = scan_step(4)
+    every = greedy.REVALIDATE_EVERY
+    for it, want in ((every - 1, 0), (every, 1), (every + 1, 0), (2 * every, 1)):
+        rebuilds.clear()
+        step(st, it, None)
+        assert rebuilds == [st] * want, f"iteration {it}"
+    assert st.cache_drift() == 0.0
+
+
 def test_run_greedy_clears_infinite_backward_edges():
     rng = np.random.default_rng(65)
     inst = gen_stree(n=60, d=3, k=3, sigma2=0.02, seed=2)
