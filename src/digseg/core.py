@@ -116,7 +116,7 @@ class DirectedGraph:
     separately toward cross-edge penalties.  Self-loops are rejected: under
     an ordered partition a self-loop is neither forward nor backward, so
     such input is ambiguous.  Neighbors are read from the compressed rows
-    `out_csr` / `in_csr`, which list each vertex's neighbors in edge order.
+    of `adjacency`, one row per vertex over both edge directions.
     """
 
     n: int
@@ -166,14 +166,19 @@ class DirectedGraph:
         return list(zip(self.edge_src.tolist(), self.edge_dst.tolist()))
 
     @cached_property
-    def out_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, heads): the out-neighbors of v are heads[indptr[v]:indptr[v + 1]]."""
-        return _csr(self.n, self.edge_src, self.edge_dst)
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, nbr, incoming): row v is nbr[indptr[v]:indptr[v + 1]].
 
-    @cached_property
-    def in_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, tails): the in-neighbors of v are tails[indptr[v]:indptr[v + 1]]."""
-        return _csr(self.n, self.edge_dst, self.edge_src)
+        The row lists v's out-neighbors in edge order, then its in-neighbors
+        in edge order, and `incoming` flags the second kind.  All three
+        arrays are read-only.
+        """
+        indptr, slot = _csr(self.n, np.concatenate((self.edge_src, self.edge_dst)), np.arange(2 * self.m))
+        incoming = slot >= self.m
+        nbr = np.concatenate((self.edge_dst, self.edge_src))[slot]
+        for arr in (nbr, incoming):
+            arr.setflags(write=False)
+        return indptr, nbr, incoming
 
 
 def load_graph(source: TextSource) -> DirectedGraph:

@@ -20,53 +20,37 @@ decisions of this evaluation become the next one's guesses.  In a dense
 stretch those guesses are mostly right, so one evaluation validates many
 commits; in a quiet one every position stays and the block advances whole.
 Commits, their order and every float therefore equal the vertex-by-vertex
-scan's.
+scan's.  An evaluation carries only the block's vertices and guesses;
+`move_deltas` gathers their edges from the graph's adjacency rows itself.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .config import COMMIT_TOL, Step, iteration_rng
-from .objective import LossKey, SolveState
+from .objective import LossKey, SolveState, _sorted_in_range
 
 REVALIDATE_EVERY = 64  # full cache rebuild cadence, bounds running-sum drift
 MAX_BLOCK = 256  # vertices scored per evaluation in a scan
 BLOCK_FLOATS = 1 << 15  # caps block * (k + 1) * d, the largest temporary of an evaluation
 
 
-class Block(NamedTuple):
-    """What a scan keeps for the vertices it scores next.
-
-    `nbr` and `key` are the block's `SolveState.neighbor_layout`, with the
-    block's first vertex at position 0; `guess` is the guessed target per
-    vertex that `SolveState.move_deltas` scores the later vertices after.
-    """
-
-    nbr: np.ndarray
-    key: np.ndarray
-    guess: Optional[np.ndarray] = None
-
-
-def best_move(state: SolveState, vertices, block: Optional[Block] = None):
+def best_move(state: SolveState, vertices, guess: Optional[np.ndarray] = None):
     """Best target group and objective delta for each of `vertices`.
 
-    Every vertex is scored against the current state, or, with a guess in
-    `block`, against the state the guessed moves of the vertices before it
-    leave.  Ties between move targets go to the lowest group index; when no
-    move strictly improves, staying put is reported as (current group, 0.0).
-    A single vertex gives `(int, float)`, an array of vertices a (targets,
-    deltas) pair of arrays.  `block` is what a scan already holds for these
-    vertices; without it the neighbors are looked up here.
+    Every vertex is scored against the current state, or, with a `guess`
+    target per vertex, against the state the guessed moves of the vertices
+    before it leave (see `SolveState.move_deltas`).  Ties between move
+    targets go to the lowest group index; when no move strictly improves,
+    staying put is reported as (current group, 0.0).  A single vertex gives
+    `(int, float)`, an array of vertices a (targets, deltas) pair of arrays.
     """
     scalar = np.ndim(vertices) == 0
     vs = np.atleast_1d(np.asarray(vertices, dtype=np.int64))
-    if block is None:
-        _, nbr, key = state.neighbor_layout(vs)
-        block = Block(nbr, key)
-    delta = state.move_deltas(vs, *block)
+    delta = state.move_deltas(vs, guess)
     rows = np.arange(vs.size)
     own = state.assign[vs]
     best_j = np.argmin(delta[:, 1:], axis=1) + 1
@@ -91,8 +75,7 @@ def sweep(state: SolveState, order, step_log: Optional[list[LossKey]] = None) ->
     committed moves.
     """
     order = np.asarray(order, dtype=np.int64)
-    ptr, nbr, key = state.neighbor_layout(order)
-    width = 2 * (state.k + 1)
+    _sorted_in_range(order, 0, state.graph.n - 1, "vertex")  # before any move commits
     size = max(1, min(MAX_BLOCK, BLOCK_FLOATS // max(1, (state.k + 1) * state.features.d)))
     guess = order[:0]  # the decisions carried over for the positions from `pos` on
     commits = pos = 0
@@ -101,8 +84,7 @@ def sweep(state: SolveState, order, step_log: Optional[list[LossKey]] = None) ->
         vs = order[pos:stop]
         own = state.assign[vs]
         guess = np.concatenate((guess, own[guess.size:]))
-        lo, hi = ptr[pos], ptr[stop]
-        targets, deltas = best_move(state, vs, Block(nbr[lo:hi], key[lo:hi] - pos * width, guess))
+        targets, deltas = best_move(state, vs, guess)
         decided = np.where(deltas < -COMMIT_TOL, targets, own)
         wrong = np.flatnonzero(decided != guess)
         end = int(wrong[0]) + 1 if wrong.size else vs.size

@@ -6,6 +6,8 @@ lambda_b per backward cross edge.  `SolveState` keeps per-group running sums
 and the two cross-edge counts always current: `SolveState.apply_move`, its
 one incremental writer, updates them from the moved vertices' own edges.
 `SolveState.move_deltas` is the one place a move of single vertices is scored.
+Both read a vertex's edges, out-edges then in-edges, from its row of
+`DirectedGraph.adjacency`, one gather for all their vertices.
 """
 
 from __future__ import annotations
@@ -206,9 +208,9 @@ class SolveState:
     current: `apply_move` updates them in O(d + deg v) per moved vertex, the
     counts from the vertices' own edges, and `rebuild` recomputes them all.
     So every writer of `assign` must go through `apply_move` or `rebuild`.
-    `move_deltas` scores vertices' moves from the caches and the graph's CSR
-    rows in O(k d + deg v) per vertex.  Group-indexed arrays have k+1 rows
-    with row 0 unused.  Single-owner mutable; not thread-safe.
+    `move_deltas` scores vertices' moves from the caches and the graph's
+    `adjacency` rows in O(k d + deg v) per vertex.  Group-indexed arrays have
+    k+1 rows with row 0 unused.  Single-owner mutable; not thread-safe.
     """
 
     def __init__(
@@ -292,44 +294,22 @@ class SolveState:
 
     # -- moves -----------------------------------------------------------
 
-    def neighbor_layout(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ptr, nbr, key) for `vertices`, grouped by position, out-neighbors first.
-
-        The neighbors of vertices[p] are nbr[ptr[p]:ptr[p + 1]], and `key`
-        holds their bincount slots for `move_deltas`: p * 2(k+1) for an
-        out-neighbor of vertices[p], plus k+1 for an in-neighbor.  A vertex
-        outside 0..n-1 raises ValueError.
-        """
-        _sorted_in_range(vertices, 0, self.graph.n - 1, "vertex")
-        k1 = self.k + 1
-        nbrs, keys = [], []
-        degree = np.zeros(vertices.size, dtype=np.int64)
-        for (indptr, ids), side in ((self.graph.out_csr, 0), (self.graph.in_csr, k1)):
-            pos, deg = _csr_rows(indptr, vertices)
-            nbrs.append(ids[pos])
-            keys.append(np.repeat(np.arange(vertices.size) * (2 * k1) + side, deg))
-            degree += deg
-        key = np.concatenate(keys)
-        srt = np.argsort(key, kind="stable")
-        ptr = np.concatenate(([0], np.cumsum(degree)))
-        return ptr, np.concatenate(nbrs)[srt], key[srt]
-
-    def move_deltas(
-        self, vertices: np.ndarray, nbr: np.ndarray, key: np.ndarray, guess: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def move_deltas(self, vertices: np.ndarray, guess: Optional[np.ndarray] = None) -> np.ndarray:
         """(len(vertices), k+1) objective changes of moving each vertex to each group.
 
-        `nbr` and `key` are the vertices' `neighbor_layout`.  Without `guess`
-        every entry moves one vertex alone against the current state.  `guess`
-        holds a guessed target per vertex (its own group: it stays), and the
-        vertices must then be distinct: row p is scored against the state the
-        guessed moves of rows < p, applied in order, would leave.  Its group
-        sums equal `apply_move`'s running sums bit for bit, and a neighbor in
-        an earlier row counts in its guessed group.  Column 0 and each
-        vertex's own group are +inf, and infinite weights give +-inf.  With
-        both weights 0 the entries are the coherence changes alone: the edge
-        term is skipped, since adding it would add only (signed) zeros.
+        Without `guess` every entry moves one vertex alone against the current
+        state.  `guess` holds a guessed target per vertex (its own group: it
+        stays), and the vertices must then be distinct: row p is scored
+        against the state the guessed moves of rows < p, applied in order,
+        would leave.  Its group sums equal `apply_move`'s running sums bit for
+        bit, and a neighbor in an earlier row counts in its guessed group.
+        Column 0 and each vertex's own group are +inf, and infinite weights
+        give +-inf.  With both weights 0 the entries are the coherence changes
+        alone: the edge term is skipped, since adding it would add only
+        (signed) zeros, and so is the gather of the vertices' `adjacency`
+        rows.  A vertex outside 0..n-1 raises ValueError.
         """
+        _sorted_in_range(vertices, 0, self.graph.n - 1, "vertex")
         k1 = self.k + 1
         rows = np.arange(vertices.size)
         own = self.assign[vertices]
@@ -365,17 +345,22 @@ class SolveState:
         delta = (h[seen, own] - h_out)[:, None] + (h[seen] - h_plus)
 
         if not self.penalties.is_zero:
-            # cross-edge counts for every target: neighbor counts per (direction,
-            # group) from one bincount, then one product with the 0/1 edge matrix
+            # cross-edge counts for every target: neighbor counts per (row,
+            # direction, group) from one bincount, then one product with the
+            # 0/1 edge matrix
+            indptr, adj, incoming = self.graph.adjacency
+            pos, deg = _csr_rows(indptr, vertices)
+            nbr, row = adj[pos], np.repeat(rows, deg)
             labels = self.assign[nbr]
             if movers.size:
                 # a neighbor that is a mover of an earlier row counts in its guessed group
                 ids = vertices[movers]
                 j = np.argsort(ids)
                 j = j[np.searchsorted(ids, nbr, sorter=j).clip(max=movers.size - 1)]
-                earlier = (ids[j] == nbr) & (movers[j] < key // (2 * k1))
+                earlier = (ids[j] == nbr) & (movers[j] < row)
                 labels = np.where(earlier, guess[movers[j]], labels)
-            nbr_counts = np.bincount(key + labels, minlength=vertices.size * 2 * k1)
+            slot = row * (2 * k1) + incoming[pos] * k1  # the (row, direction) block of k+1 groups
+            nbr_counts = np.bincount(slot + labels, minlength=vertices.size * 2 * k1)
             at = nbr_counts.reshape(vertices.size, 2 * k1) @ _edge_matrix(self.k)
             fwd_at, bwd_at = at[:, :k1], at[:, k1:]
             inf_change, finite = self.penalties.split(
@@ -404,8 +389,7 @@ class SolveState:
         self._check_moves(vs, np.array([target], dtype=np.int64))
         if target == self.assign[v]:
             raise ValueError("target group equals the current group")
-        _, nbr, key = self.neighbor_layout(vs)
-        return float(self.move_deltas(vs, nbr, key)[0, target])
+        return float(self.move_deltas(vs)[0, target])
 
     def apply_move(self, vertices, targets) -> None:
         """Move each of `vertices` to its entry of `targets`, in order.
@@ -425,21 +409,20 @@ class SolveState:
         moved = olds != ts
         vs, ts, olds = vs[moved], ts[moved], olds[moved]
 
-        # the moved vertices' out-edges, then their in-edges, as the tails of
-        # all of them followed by their heads; an in-edge whose tail moved too
-        # is that tail's out-edge, so it is taken only there
-        (out_ptr, heads), (in_ptr, tails) = self.graph.out_csr, self.graph.in_csr
-        out_at, n_out = _csr_rows(out_ptr, vs)
-        in_at, n_in = _csr_rows(in_ptr, vs)
-        ends = np.concatenate((np.repeat(vs, n_out), tails[in_at], heads[out_at], np.repeat(vs, n_in)))
-        before = self.assign[ends]
+        # the moved vertices' edges from their `adjacency` rows; an in-edge
+        # whose tail moved too is that tail's out-edge, so it is taken only there
+        indptr, adj, incoming = self.graph.adjacency
+        at, deg = _csr_rows(indptr, vs)
+        nbr, flip = adj[at], 1 - 2 * incoming[at]  # +1 on an out-edge, -1 on an in-edge
+        before = self.assign[nbr]
         self.assign[vs] = ts
-        after = self.assign[ends]
-        m = ends.size // 2
-        once = before[:m] == after[:m]
-        once[: out_at.size] = True
+        after = self.assign[nbr]
+        once = (flip > 0) | (before == after)
         # per labelling, edges by the sign of head group minus tail group: backward, inner, forward
-        was, now = (np.bincount(np.sign(g[m:] - g[:m])[once] + 1, minlength=3) for g in (before, after))
+        was, now = (
+            np.bincount((flip * np.sign(g - np.repeat(own, deg)))[once] + 1, minlength=3)
+            for g, own in ((before, olds), (after, ts))
+        )
         fwd, bwd = self.edge_counts
         self.edge_counts = (fwd + int(now[2] - was[2]), bwd + int(now[0] - was[0]))
 

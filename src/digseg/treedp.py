@@ -82,15 +82,16 @@ class TreeLayout:
     def from_graph(cls, graph: DirectedGraph) -> "TreeLayout":
         """Check that `graph` is an arborescence forest and lay it out."""
         roots = np.asarray(check_arborescence(graph), dtype=np.int64)
-        indptr, heads = graph.out_csr
+        indptr, nbr, incoming = graph.adjacency
         parent = np.full(graph.n, -1, dtype=np.int64)
         parent[graph.edge_dst] = graph.edge_src
         levels = [roots]
         while True:
-            children, _ = _csr_rows(indptr, levels[-1])  # parent by parent
+            pos, _ = _csr_rows(indptr, levels[-1])  # parent by parent
+            children = nbr[pos[~incoming[pos]]]
             if children.size == 0:
                 break
-            levels.append(heads[children])
+            levels.append(children)
         return cls(levels=tuple(levels), parent=parent)
 
 

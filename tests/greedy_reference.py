@@ -41,10 +41,11 @@ def best_move(state: SolveState, v: int) -> tuple[int, float]:
     d_coh = (h_all[i] - h_i_new) + (h_all - h_plus)
 
     # cross-edge counts for every target from one pass over the neighbors;
-    # pref_*[x] = number of neighbors in groups <= x
-    (out_ptr, heads), (in_ptr, tails) = state.graph.out_csr, state.graph.in_csr
-    gout = state.assign[heads[out_ptr[v]:out_ptr[v + 1]]]
-    gin = state.assign[tails[in_ptr[v]:in_ptr[v + 1]]]
+    # pref_*[x] = number of neighbors in groups <= x; the neighbors come
+    # straight from the edge arrays, not from the graph's adjacency rows
+    src, dst = state.graph.edge_src, state.graph.edge_dst
+    gout = state.assign[dst[src == v]]
+    gin = state.assign[src[dst == v]]
     pref_out = np.cumsum(np.bincount(gout, minlength=k + 1))
     pref_in = np.cumsum(np.bincount(gin, minlength=k + 1))
     below_out = np.concatenate(([0], pref_out[:-1]))

@@ -36,16 +36,31 @@ def adjacency_lists(g):
     return out, inn
 
 
-def csr_rows(indptr, nbrs):
-    return [nbrs[indptr[v]:indptr[v + 1]].tolist() for v in range(len(indptr) - 1)]
+def csr_rows(g):
+    """Each `adjacency` row of g as (out-neighbors, in-neighbors).
+
+    The row's entries must be its out-neighbors followed by its in-neighbors:
+    `incoming` flags exactly the entries after the split.
+    """
+    indptr, nbr, incoming = g.adjacency
+    rows = []
+    for v in range(g.n):
+        row, flags = nbr[indptr[v]:indptr[v + 1]].tolist(), incoming[indptr[v]:indptr[v + 1]].tolist()
+        split = flags.count(False)
+        assert flags == [False] * split + [True] * (len(row) - split)
+        rows.append((row[:split], row[split:]))
+    return rows
 
 
 def test_load_path_graph():
     g = load_graph("3\n0 1\n1 2\n")
     assert g.n == 3 and g.m == 2
     out, inn = adjacency_lists(g)
-    assert out == [[1], [2], []] and csr_rows(*g.out_csr) == out
-    assert inn == [[], [0], [1]] and csr_rows(*g.in_csr) == inn
+    assert out == [[1], [2], []] and inn == [[], [0], [1]]
+    assert csr_rows(g) == [([1], []), ([2], [0]), ([], [1])]
+    indptr, nbr, incoming = g.adjacency
+    assert indptr.tolist() == [0, 1, 3, 4] and nbr.tolist() == [1, 2, 0, 1]
+    assert incoming.tolist() == [False, False, True, True]
 
 
 def test_load_rejects_self_loop():
@@ -89,7 +104,7 @@ def test_parallel_edges_preserved():
     g = load_graph("2\n0 1\n0 1\n")
     out, inn = adjacency_lists(g)
     assert g.m == 2 and out[0] == [1, 1] and inn[1] == [0, 0]
-    assert csr_rows(*g.out_csr) == out and csr_rows(*g.in_csr) == inn
+    assert csr_rows(g) == [([1, 1], []), ([], [0, 0])] == list(zip(out, inn))
 
 
 def test_roundtrip_edge_multiset():
@@ -112,7 +127,7 @@ def test_adjacency_mirrors_edge_multiset():
     rng = np.random.default_rng(8)
     for _ in range(20):
         g = random_digraph(rng, int(rng.integers(2, 9)), int(rng.integers(0, 15)))
-        out_rows, in_rows = csr_rows(*g.out_csr), csr_rows(*g.in_csr)
+        out_rows, in_rows = (list(side) for side in zip(*csr_rows(g)))
         assert sum(len(a) for a in out_rows) == g.m
         assert sum(len(a) for a in in_rows) == g.m
         for u, v in g.edges:
@@ -144,8 +159,8 @@ def test_from_edges_array_equals_pairs():
     for x, y in ((a.edge_src, b.edge_src), (a.edge_dst, b.edge_dst)):
         assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
         assert not x.flags.writeable and not y.flags.writeable
-    for (pa, na), (pb, nb) in ((a.out_csr, b.out_csr), (a.in_csr, b.in_csr)):
-        assert np.array_equal(pa, pb) and np.array_equal(na, nb)
+    for x, y in zip(a.adjacency, b.adjacency):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
     empty = DirectedGraph.from_edges(2, np.zeros((0, 2), dtype=np.int64))
     assert empty.m == 0 and empty.edges == [] == DirectedGraph.from_edges(2, []).edges
 
@@ -161,10 +176,10 @@ def test_from_edges_rejects_triples():
 @given(multigraphs())
 def test_csr_rows_equal_adjacency_lists(g):
     out, inn = adjacency_lists(g)
-    for (indptr, nbrs), adj in ((g.out_csr, out), (g.in_csr, inn)):
-        assert indptr[0] == 0 and indptr[-1] == g.m
-        for v in range(g.n):
-            assert nbrs[indptr[v]:indptr[v + 1]].tolist() == adj[v]
+    indptr, nbr, incoming = g.adjacency
+    assert indptr[0] == 0 and indptr[-1] == nbr.size == incoming.size == 2 * g.m
+    assert not any(arr.flags.writeable for arr in g.adjacency)
+    assert csr_rows(g) == list(zip(out, inn))  # row v is out[v] + in[v], `incoming` on in[v]
 
 
 def test_load_features_echo():

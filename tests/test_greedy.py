@@ -17,7 +17,7 @@ from digseg import (
     best_move,
 )
 from digseg import greedy
-from digseg.greedy import Block, scan_step, sweep
+from digseg.greedy import scan_step, sweep
 from digseg.experiments import gen_stree
 from conftest import finite_parts, random_digraph, random_state, rel_close, sse_of_partition
 import greedy_reference
@@ -277,16 +277,15 @@ def guessed_blocks(draw):
 def test_guessed_scores_equal_the_reference_after_the_guessed_moves(problem):
     graph, features, pen, assign, k, vs, guess = problem
     state = SolveState(graph, features, pen, assign, k)
-    _, nbr, key = state.neighbor_layout(vs)
-    delta = state.move_deltas(vs, nbr, key, guess)
-    targets, deltas = best_move(state, vs, Block(nbr, key, guess))
+    delta = state.move_deltas(vs, guess)
+    targets, deltas = best_move(state, vs, guess)
     assert list(state.assign) == list(assign)  # scoring writes nothing
     walk = SolveState(graph, features, pen, assign, k)
     for p, v in enumerate(vs.tolist()):
         # row p against the state the guessed moves of rows < p leave
         ref_target, ref_delta = greedy_reference.best_move(walk, v)
         assert (int(targets[p]), float(deltas[p]).hex()) == (ref_target, ref_delta.hex())
-        alone = walk.move_deltas(vs[p:p + 1], *walk.neighbor_layout(vs[p:p + 1])[1:])
+        alone = walk.move_deltas(vs[p:p + 1])
         assert delta[p].tobytes() == alone[0].tobytes()
         walk.apply_move(v, int(guess[p]))
 

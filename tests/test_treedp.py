@@ -193,9 +193,9 @@ WEIGHTS = [0.0, 0.1, 1e5, math.inf]
 
 
 @st.composite
-def forest_problems(draw):
+def forest_problems(draw, max_n=40):
     """A shuffled forest with tie-prone features and centers, some undefined."""
-    n = draw(st.integers(1, 40))
+    n = draw(st.integers(1, max_n))
     k = draw(st.integers(1, 4))
     d = draw(st.integers(1, 2))
     edges = []
@@ -237,6 +237,19 @@ def assert_matches_reference(g, f, cents, pen):
 @given(forest_problems())
 def test_level_fill_matches_vertex_by_vertex_reference(problem):
     assert_matches_reference(*problem)
+
+
+@settings(max_examples=200, deadline=None)
+@given(forest_problems(max_n=8))
+def test_forest_optimum_equals_the_oracle(problem):
+    g, f, cents, pen = problem
+    part, cost = solve_tree_partition(g, f, cents, pen)
+    _, ocost = brute_force_fixed_centroids(g, f, cents, pen, cents.k)
+    assert rel_close(cost, ocost)  # both inf, or equal
+    if cents.defined.any():
+        assert rel_close(cost, fixed_centroid_cost(g, f, part, cents, pen))
+    else:  # every labelling puts a vertex in a group without a center
+        assert cost == math.inf
 
 
 @pytest.mark.parametrize("lam_f, lam_b", [(0.0, 1e5), (0.1, 0.1), (0.0, math.inf), (1.0, 0.0)])
