@@ -1,12 +1,11 @@
 """Alternating optimization driver: two-phase start, solver dispatch, restarts.
 
 Every solver runs the one alternating loop, `config.alternate`, with the
-partition step `_run_phase` picks: an exact tree solve (`_tree_step` below),
-a pairwise cut sweep (`mincut.sweep_step()`) or a greedy scan
-(`greedy.scan_step`).  With both weights at 0 the tree solver's step is
-`_nearest_step` instead: each vertex to its nearest center, the tree DP's
-answer at zero weights up to exact ties between centers, without filling its
-tables.  Empty groups are reseeded before the tree and pair-cut steps.
+partition step its own module builds: an exact tree solve
+(`treedp.tree_step`, the nearest-center step at zero weights), a pairwise
+cut sweep (`mincut.sweep_step()`) or a greedy scan (`greedy.scan_step`).
+`run_iterative` builds the step once and runs both phases with it.  Empty
+groups are reseeded before the tree and pair-cut steps.
 
 A restart runs in two phases.  The first clusters with both weights at 0
 (plain clustering, the problem's unordered special case) from a seeded
@@ -30,16 +29,16 @@ import dataclasses
 import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import greedy as greedy_mod
 from . import mincut as mincut_mod
 from . import treedp as treedp_mod
-from .config import SolveConfig, SolveResult, alternate, norm_seed
+from .config import SolveConfig, SolveResult, Step, alternate, norm_seed
 from .core import DirectedGraph, FeatureMatrix, OrderedPartition, Penalties
-from .objective import LossKey, SolveState, vertex_group_costs
+from .objective import SolveState
 
 
 def random_init(n: int, k: int, seed: int) -> OrderedPartition:
@@ -72,41 +71,6 @@ def repair_empty_groups(state: SolveState) -> SolveState:
         dist2 = np.where(movable, dist2, -1.0)
         v = int(np.argmax(dist2))  # argmax keeps the lowest id among ties
         state.apply_move(v, empties[0])
-
-
-def _write_labels(state: SolveState, labels: np.ndarray, step_log: Optional[list[LossKey]]) -> int:
-    """Set `state`'s labels to `labels`, rebuilding once; returns how many changed."""
-    changed = labels != state.assign
-    changes = int(changed.sum())
-    if changes:
-        state.assign[changed] = labels[changed]
-        state.rebuild()
-        if step_log is not None:
-            step_log.append(state.breakdown().key)
-    return changes
-
-
-def _tree_step(
-    layout: treedp_mod.TreeLayout,
-    state: SolveState,
-    it: int,
-    step_log: Optional[list[LossKey]],
-) -> int:
-    """Exact tree partition against the current centers, written into `state`."""
-    new_part, _ = treedp_mod.solve_tree_partition(
-        state.graph, state.features, state.centroids(), state.penalties, layout=layout
-    )
-    return _write_labels(state, new_part.assign, step_log)
-
-
-def _nearest_step(state: SolveState, it: int, step_log: Optional[list[LossKey]]) -> int:
-    """Each vertex to its nearest current center, ties to the lowest group.
-
-    This is the exact fixed-center step when both weights are 0 (Lloyd's
-    step), so a zero-weight tree phase needs no DP.
-    """
-    costs = vertex_group_costs(state.features, state.centroids())
-    return _write_labels(state, np.argmin(costs, axis=1) + 1, step_log)
 
 
 def order_groups(
@@ -142,24 +106,17 @@ def order_groups(
     return OrderedPartition.from_labels(k, position[partition.assign])
 
 
-def _run_phase(
-    graph: DirectedGraph,
-    features: FeatureMatrix,
-    penalties: Penalties,
-    init: OrderedPartition,
-    config: SolveConfig,
-) -> SolveResult:
-    repair = repair_empty_groups  # looked up per call, like the steps, so patches reach every run
+def _solver_step(
+    graph: DirectedGraph, k: int, config: SolveConfig
+) -> tuple[Step, Optional[Callable[[SolveState], object]]]:
+    """The configured solver's partition step and empty-group repair, built once per run."""
     if config.solver_kind == "treedp":
-        layout = treedp_mod.TreeLayout.from_graph(graph)  # rejects a non-forest first
-        step = _nearest_step if penalties.is_zero else functools.partial(_tree_step, layout)
-    elif config.solver_kind == "mcut":
-        if init.k < 2:
-            raise ValueError(f"the pairwise cut solver needs k >= 2, got {init.k}")
-        step = mincut_mod.sweep_step()
-    else:
-        step, repair = greedy_mod.scan_step(config.seed), None
-    return alternate(graph, features, penalties, init, config, step, repair)
+        return treedp_mod.tree_step(graph), repair_empty_groups  # rejects a non-forest first
+    if config.solver_kind == "mcut":
+        if k < 2:
+            raise ValueError(f"the pairwise cut solver needs k >= 2, got {k}")
+        return mincut_mod.sweep_step(), repair_empty_groups
+    return greedy_mod.scan_step(config.seed), None
 
 
 def run_iterative(
@@ -186,12 +143,13 @@ def run_iterative(
     """
     start = time.perf_counter()
     init = random_init(graph.n, k, config.seed)
+    step, repair = _solver_step(graph, k, config)
     if penalties.is_zero or k == 1 or graph.m == 0:
-        return _run_phase(graph, features, penalties, init, config)
+        return alternate(graph, features, penalties, init, config, step, repair)
     first_config = dataclasses.replace(config, track_steps=False)
-    first = _run_phase(graph, features, Penalties(0.0, 0.0), init, first_config)
+    first = alternate(graph, features, Penalties(0.0, 0.0), init, first_config, step, repair)
     ordered = order_groups(graph, penalties, first.partition)
-    second = _run_phase(graph, features, penalties, ordered, config)
+    second = alternate(graph, features, penalties, ordered, config, step, repair)
     return dataclasses.replace(
         second,
         iterations=first.iterations + second.iterations,

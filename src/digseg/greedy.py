@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .config import COMMIT_TOL, Step, iteration_rng
-from .objective import LossKey, SolveState, _sorted_in_range
+from .objective import LossKey, SolveState, _check_vertices
 
 REVALIDATE_EVERY = 64  # full cache rebuild cadence, bounds running-sum drift
 MAX_BLOCK = 256  # vertices scored per evaluation in a scan
@@ -66,16 +66,17 @@ def best_move(state: SolveState, vertices, guess: Optional[np.ndarray] = None):
 def sweep(state: SolveState, order, step_log: Optional[list[LossKey]] = None) -> int:
     """Visit the vertices in `order`, committing strictly improving best moves.
 
-    A move commits when it lowers the loss by more than `COMMIT_TOL`; the
-    commits are those of scoring and committing one vertex at a time (see
-    the module docstring).  Each validated stretch is committed by one
-    `SolveState.apply_move`, which keeps the edge counts always current
-    from the moved vertices' own edges; with `step_log` the moves go one
-    per call and each commit's loss key is logged.  Returns the number of
-    committed moves.
+    `order` lists distinct vertices; one out of range or repeated raises
+    ValueError before any move commits.  A move commits when it lowers the
+    loss by more than `COMMIT_TOL`; the commits are those of scoring and
+    committing one vertex at a time (see the module docstring).  Each
+    validated stretch is committed by one `SolveState.apply_move`, which
+    keeps the edge counts always current from the moved vertices' own
+    edges; with `step_log` the moves go one per call and each commit's loss
+    key is logged.  Returns the number of committed moves.
     """
     order = np.asarray(order, dtype=np.int64)
-    _sorted_in_range(order, 0, state.graph.n - 1, "vertex")  # before any move commits
+    _check_vertices(order, state.graph.n)  # before any move commits
     size = max(1, min(MAX_BLOCK, BLOCK_FLOATS // max(1, (state.k + 1) * state.features.d)))
     guess = order[:0]  # the decisions carried over for the positions from `pos` on
     commits = pos = 0

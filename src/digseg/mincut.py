@@ -27,15 +27,15 @@ source side.  `redistribute_pair` therefore compares each member's two
 prices, snapped to the same grid, directly: group j iff the price of i
 exceeds the price of j by more than `_EPS`, group i otherwise.
 
-`sweep_step()` keeps, for each pair (i, j), the inputs of the pair's last
-cut and its result, and reuses the result while the same `SolveState`
-comes back with those inputs unchanged, bit for bit.  One helper,
-`_pair_inputs`, gives the inputs to both the key and the builder: each
-vertex's band (in group i or j, in a group strictly between, or elsewhere)
-and the two centers from `SolveState.centroids`.  Given the state's graph,
-features and penalties `_pair_network` reads nothing else, so a reused
-result is the one a new cut would return.  A step handed a different state
-forgets what it kept.
+`redistribute_pair` is the whole pair step.  It reads the pair's inputs
+once (`_pair_inputs`: each vertex's band, in group i or j, in a group
+strictly between, or elsewhere, and the two centers from
+`SolveState.centroids`) for both the reuse key and the zero-weight prices.
+`sweep_step()` keeps each pair's last answer under those bytes and reuses
+it while the same `SolveState` comes back with them unchanged, bit for
+bit; given the state's graph, features and penalties `_pair_network` reads
+nothing else, so a reused answer is the one a new cut would return.  A
+step handed a different state forgets what it kept.
 """
 
 from __future__ import annotations
@@ -355,12 +355,6 @@ def _member_prices(values: np.ndarray, members: np.ndarray, centers) -> np.ndarr
     return vertex_group_costs(FeatureMatrix(values[members]), Centroids.from_rows(centers))
 
 
-def _cut_labels(net: FlowNetwork, i: int, j: int) -> np.ndarray:
-    """Group i or j per vertex node of a pair network: i on the minimum cut's source side."""
-    _, side = max_flow_min_cut(net)
-    return np.where(side[: net.node_labels.size], i, j)
-
-
 def build_cut_graph_k2(
     graph: DirectedGraph,
     features: FeatureMatrix,
@@ -395,8 +389,8 @@ def solve_two_partition(
     value whenever no sentinel (infinite-weight) arc is cut.  Vertices whose
     placement is cost-neutral land in group 1.
     """
-    net = build_cut_graph_k2(graph, features, mu1, mu2, penalties)
-    partition = OrderedPartition.from_labels(2, _cut_labels(net, 1, 2))
+    _, side = max_flow_min_cut(build_cut_graph_k2(graph, features, mu1, mu2, penalties))
+    partition = OrderedPartition.from_labels(2, np.where(side[: graph.n], 1, 2))
     cost = fixed_centroid_cost(graph, features, partition, Centroids.from_rows([mu1, mu2]), penalties)
     return partition, cost
 
@@ -414,23 +408,38 @@ def build_cut_graph_pair(state: SolveState, i: int, j: int) -> FlowNetwork:
     return _pair_network(state.graph, state.values, *_pair_inputs(state, i, j), state.penalties)
 
 
-def redistribute_pair(state: SolveState, i: int, j: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Optimal reassignment of the members of groups i and j between i and j.
+def redistribute_pair(
+    state: SolveState, i: int, j: int, cuts: Optional[dict] = None
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Optimal reassignment of the members of groups i and j (i < j) between i and j.
 
     Returns (member vertex ids, target group per member) or None when either
-    group is empty.  Holds every other group and all centers fixed.  At zero
-    weights the members are priced without a network, exactly as its cut
-    would place them (see the module docstring).
+    group is empty; a pair out of order or range raises ValueError first.
+    Holds every other group and all centers fixed.  At zero weights the
+    members are priced without a network, exactly as its cut would place
+    them (see the module docstring).  `cuts`, a reuse store, keeps under
+    (i, j) the pair's input bytes and which members went to group j; that
+    answer is returned again while the inputs are unchanged.
     """
+    if not (1 <= i < j <= state.k):
+        raise ValueError(f"expected 1 <= i < j <= {state.k}, got ({i}, {j})")
     if state.counts[i] == 0 or state.counts[j] == 0:
         return None
-    if state.penalties.is_zero:
-        bands, centers = _pair_inputs(state, i, j)
-        members = np.flatnonzero(bands == 1)
+    cuts = {} if cuts is None else cuts
+    bands, centers = _pair_inputs(state, i, j)
+    members = np.flatnonzero(bands == 1)
+    key = bands.tobytes() + centers.tobytes()
+    last = cuts.get((i, j))
+    if last is not None and last[0] == key:
+        to_j = last[1]
+    elif state.penalties.is_zero:
         prices = _snap(_member_prices(state.values, members, centers))
-        return members, np.where(prices[:, 0] - prices[:, 1] > _EPS, j, i)
-    net = build_cut_graph_pair(state, i, j)
-    return net.node_labels, _cut_labels(net, i, j)
+        to_j = prices[:, 0] - prices[:, 1] > _EPS
+    else:
+        _, side = max_flow_min_cut(build_cut_graph_pair(state, i, j))
+        to_j = ~side[: members.size]
+    cuts[(i, j)] = (key, to_j)
+    return members, np.where(to_j, j, i)
 
 
 def _pair_inputs(state: SolveState, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -448,24 +457,6 @@ def _pair_inputs(state: SolveState, i: int, j: int) -> tuple[np.ndarray, np.ndar
     return band_of_group[state.assign], np.array([cents.mu_for(i), cents.mu_for(j)])
 
 
-def _pair_cut(state: SolveState, i: int, j: int, cuts: dict):
-    """`redistribute_pair(state, i, j)`, or the pair's last result while its inputs are unchanged.
-
-    `cuts[(i, j)]` holds the bytes of the `_pair_inputs` the pair's last cut
-    read, and which members that cut put in group i.
-    """
-    if state.counts[i] == 0 or state.counts[j] == 0:
-        return None
-    bands, centers = _pair_inputs(state, i, j)
-    key = bands.tobytes() + centers.tobytes()
-    last = cuts.get((i, j))
-    if last is not None and last[0] == key:
-        return np.flatnonzero(bands == 1), np.where(last[1], i, j)
-    members, targets = redistribute_pair(state, i, j)
-    cuts[(i, j)] = (key, targets == i)
-    return members, targets
-
-
 def pair_sweep(
     state: SolveState, step_log: Optional[list[LossKey]] = None, cuts: Optional[dict] = None
 ) -> int:
@@ -479,16 +470,15 @@ def pair_sweep(
     oscillation).  A rejected pair is reverted by one more call, and the next
     changed pair is compared against the last accepted key.
     Centers refresh implicitly from the running sums after each commit.
-    `cuts` keeps each pair's last cut for reuse on this same state (see the
-    module docstring); a fresh dict, the default, cuts every pair anew.
+    `cuts`, passed to `redistribute_pair`, keeps each pair's last answer for
+    reuse on this same state; None, the default, cuts every pair anew.
     Returns the number of committed pair steps.
     """
-    cuts = {} if cuts is None else cuts
     commits = 0
     key = state.loss_parts()
     for i in range(1, state.k):
         for j in range(i + 1, state.k + 1):
-            result = _pair_cut(state, i, j, cuts)
+            result = redistribute_pair(state, i, j, cuts)
             if result is None:
                 continue
             members, targets = result

@@ -178,6 +178,13 @@ def _sorted_in_range(ids: np.ndarray, lo: int, hi: int, name: str) -> np.ndarray
     return ordered
 
 
+def _check_vertices(vertices: np.ndarray, n: int, distinct: bool = True) -> None:
+    """Raise ValueError for a vertex outside 0..n-1 and, if `distinct`, for a repeated one."""
+    ordered = _sorted_in_range(vertices, 0, n - 1, "vertex")
+    if distinct and (ordered[1:] == ordered[:-1]).any():
+        raise ValueError("a vertex is moved twice in one batch")
+
+
 def _h(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """||sum||^2 / count per group row (0 for an empty group), summed over the last axis."""
     sq = (sums * sums).sum(axis=-1)
@@ -307,9 +314,10 @@ class SolveState:
         give +-inf.  With both weights 0 the entries are the coherence changes
         alone: the edge term is skipped, since adding it would add only
         (signed) zeros, and so is the gather of the vertices' `adjacency`
-        rows.  A vertex outside 0..n-1 raises ValueError.
+        rows.  A vertex outside 0..n-1, or with `guess` a repeated vertex,
+        raises ValueError.
         """
-        _sorted_in_range(vertices, 0, self.graph.n - 1, "vertex")
+        _check_vertices(vertices, self.graph.n, distinct=guess is not None)
         k1 = self.k + 1
         rows = np.arange(vertices.size)
         own = self.assign[vertices]
@@ -375,10 +383,8 @@ class SolveState:
     def _check_moves(self, vertices: np.ndarray, targets: np.ndarray) -> None:
         if vertices.shape != targets.shape:
             raise ValueError(f"{vertices.size} vertices but {targets.size} targets")
-        ordered = _sorted_in_range(vertices, 0, self.graph.n - 1, "vertex")
+        _check_vertices(vertices, self.graph.n)
         _sorted_in_range(targets, 1, self.k, "target group")
-        if (ordered[1:] == ordered[:-1]).any():
-            raise ValueError("a vertex is moved twice in one batch")
 
     def move_delta(self, v: int, target: int) -> float:
         """Objective change of moving v to group `target`; does not mutate.

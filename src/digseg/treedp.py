@@ -13,6 +13,9 @@ and its children's branch optima are pushed into their parents with
 vertex-by-vertex fill.  The backtrack is one gather per level, roots first.
 Python-level work is therefore proportional to the forest's depth, and an
 arbitrarily deep path needs no recursion.
+
+`tree_step(graph)`, the solver's partition step, lays the forest out once
+per run; at zero weights it takes each vertex's nearest center instead.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from typing import Optional
 
 import numpy as np
 
+from .config import Step
 from .core import DirectedGraph, FeatureMatrix, OrderedPartition, Penalties, _csr_rows
-from .objective import Centroids, vertex_group_costs
+from .objective import Centroids, LossKey, SolveState, vertex_group_costs
 
 
 class ArborescenceError(ValueError):
@@ -194,3 +198,35 @@ def solve_tree_partition(
     for vs in layout.levels[1:]:
         col[vs] = choice[vs, col[layout.parent[vs]]]
     return OrderedPartition.from_labels(centroids.k, col + 1), total
+
+
+def tree_step(graph: DirectedGraph) -> Step:
+    """The tree partition step of `config.alternate` on the forest `graph`.
+
+    The forest is checked and laid out once, here.  Each call places every
+    vertex against the current centers: with both weights at 0 at its
+    nearest center, ties to the lowest group (Lloyd's step, the DP's answer
+    up to exact ties between centers); otherwise by `solve_tree_partition`.
+    The changed labels are written, the state is rebuilt once, and its key
+    is logged when anything changed.
+    """
+    layout = TreeLayout.from_graph(graph)
+
+    def step(state: SolveState, it: int, step_log: Optional[list[LossKey]]) -> int:
+        centroids = state.centroids()
+        if state.penalties.is_zero:
+            labels = np.argmin(vertex_group_costs(state.features, centroids), axis=1) + 1
+        else:
+            labels = solve_tree_partition(
+                graph, state.features, centroids, state.penalties, layout=layout
+            )[0].assign
+        changed = labels != state.assign
+        changes = int(changed.sum())
+        if changes:
+            state.assign[changed] = labels[changed]
+            state.rebuild()
+            if step_log is not None:
+                step_log.append(state.breakdown().key)
+        return changes
+
+    return step

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -21,11 +20,11 @@ from digseg import (
 )
 from digseg import driver
 from digseg.config import REL_TOL, alternate, small_improvement
-from digseg.driver import _nearest_step, _run_phase, _tree_step, order_groups
+from digseg.driver import _solver_step, order_groups
 from digseg.greedy import scan_step
 from digseg.mincut import sweep_step
 from digseg.experiments import gen_sdag, gen_stree, inject_noise
-from digseg.treedp import TreeLayout
+from digseg.treedp import TreeLayout, solve_tree_partition, tree_step
 from conftest import finite_parts, random_digraph, random_features, rel_close
 
 
@@ -207,8 +206,8 @@ def test_mcut_requires_k_at_least_two(run):
 @pytest.mark.parametrize("pen", [Penalties(0.0, 0.0), Penalties(0.5, 2.0)], ids=["zero", "weighted"])
 @pytest.mark.parametrize("kind, repairs", [("treedp", True), ("mcut", True), ("greedy", False)])
 def test_run_phase_repairs_empty_groups_for_tree_and_cut_steps_only(kind, repairs, pen, monkeypatch):
-    # the driver looks the repair up when a phase runs, so a patched module
-    # attribute sees every call
+    # the driver looks the repair up when it builds a run's step, so a patched
+    # module attribute sees every call
     calls = []
 
     def counting_repair(state):
@@ -220,7 +219,8 @@ def test_run_phase_repairs_empty_groups_for_tree_and_cut_steps_only(kind, repair
     g = DirectedGraph.from_edges(30, [(int(rng.integers(0, v)), v) for v in range(1, 30)])
     f = random_features(rng, 30, 2)
     init = OrderedPartition.from_labels(3, rng.integers(1, 3, size=30))  # group 3 empty
-    _run_phase(g, f, pen, init, SolveConfig(solver_kind=kind, seed=2))
+    cfg = SolveConfig(solver_kind=kind, seed=2)
+    alternate(g, f, pen, init, cfg, *_solver_step(g, 3, cfg))
     assert bool(calls) == repairs
     if repairs:
         assert calls[0] == [3]
@@ -287,6 +287,25 @@ def test_multi_restart_serial_and_parallel_agree():
     assert (a.seed, a.iterations, a.converged) == (b.seed, b.iterations, b.converged)
 
 
+def dp_step(graph):
+    """The tree step that runs the DP at every weight, zero included."""
+    layout = TreeLayout.from_graph(graph)
+
+    def step(state, it, step_log):
+        part, _ = solve_tree_partition(
+            graph, state.features, state.centroids(), state.penalties, layout=layout
+        )
+        changed = part.assign != state.assign
+        if changed.any():
+            state.assign[changed] = part.assign[changed]
+            state.rebuild()
+            if step_log is not None:
+                step_log.append(state.breakdown().key)
+        return int(changed.sum())
+
+    return step
+
+
 @pytest.mark.parametrize("k, seed", [(2, 0), (5, 3)])
 def test_zero_weight_treedp_run_equals_the_tree_dp_run(k, seed):
     # at zero weights the nearest-center step is the tree DP's exact answer;
@@ -295,8 +314,7 @@ def test_zero_weight_treedp_run_equals_the_tree_dp_run(k, seed):
     g, f, pen = inst.graph, inst.features, Penalties(0.0, 0.0)
     cfg = SolveConfig(solver_kind="treedp", seed=seed, track_steps=True)
     ours = run_iterative(g, f, pen, k, cfg)
-    step = functools.partial(_tree_step, TreeLayout.from_graph(g))
-    dp = alternate(g, f, pen, random_init(g.n, k, seed), cfg, step, repair_empty_groups)
+    dp = alternate(g, f, pen, random_init(g.n, k, seed), cfg, dp_step(g), repair_empty_groups)
     assert ours.partition.assign.tobytes() == dp.partition.assign.tobytes()
     assert (ours.iterations, ours.converged) == (dp.iterations, dp.converged)
     assert ours.breakdown == dp.breakdown
@@ -308,11 +326,11 @@ def test_nearest_step_ties_go_to_the_lowest_group():
     g = DirectedGraph.from_edges(2, [(0, 1)])
     f = FeatureMatrix.from_array([[1.0], [1.0]])
     st = SolveState(g, f, Penalties(0.0, 0.0), [2, 1], 2)
-    assert _nearest_step(st, 1, None) == 1
+    assert tree_step(g)(st, 1, None) == 1
     assert list(st.assign) == [1, 1] and st.cache_drift() == 0.0
     # an empty group has no center, so the lowest defined one wins
     st = SolveState(g, f, Penalties(0.0, 0.0), [3, 2], 3)
-    assert _nearest_step(st, 1, None) == 1
+    assert tree_step(g)(st, 1, None) == 1
     assert list(st.assign) == [2, 2]
 
 
@@ -324,8 +342,8 @@ def test_nearest_step_and_tree_dp_differ_only_in_a_tie():
     f = FeatureMatrix.from_array([[2.0], [1.0], [1.0]])
     pen = Penalties(0.0, 0.0)
     near, dp = (SolveState(g, f, pen, [2, 3, 1], 3) for _ in range(2))
-    _nearest_step(near, 1, None)
-    _tree_step(TreeLayout.from_graph(g), dp, 1, None)
+    tree_step(g)(near, 1, None)
+    dp_step(g)(dp, 1, None)
     assert list(near.assign) == [2, 1, 1] and list(dp.assign) == [2, 3, 3]
     assert near.total() == dp.total()
 
@@ -355,8 +373,7 @@ def test_keyed_step_log_is_monotone_under_infinite_weights():
     for seed in range(3):
         tree = gen_stree(n=300, d=5, k=5, sigma2=0.05, seed=seed)
         dag = gen_sdag(n=300, d=5, k=5, sigma2=0.05, edge_prob=0.01, seed=seed)
-        tree_step = functools.partial(_tree_step, TreeLayout.from_graph(tree.graph))
-        for inst, own_steps in ((tree, [tree_step]), (inject_noise(dag, 0.3, seed), [])):
+        for inst, own_steps in ((tree, [tree_step(tree.graph)]), (inject_noise(dag, 0.3, seed), [])):
             init = random_init(300, 5, seed)
             cfg = SolveConfig(seed=seed, track_steps=True)
             for pen in (Penalties(0.0, math.inf), Penalties(math.inf, math.inf),

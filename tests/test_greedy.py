@@ -321,3 +321,42 @@ def test_best_move_and_sweep_reject_vertex_out_of_range(edges, v):
     with pytest.raises(ValueError, match=f"vertex {v} out of range 0..2"):
         sweep(st, [0, v, 1])
     assert list(st.assign) == [1, 1, 2] and st.cache_drift() == 0.0
+
+
+@pytest.mark.parametrize("log", [None, []], ids=["unlogged", "logged"])
+def test_sweep_rejects_an_order_that_repeats_a_vertex(log):
+    # vertex 2 would move first; a scan that repeats vertex 1 must refuse the
+    # whole order before committing it
+    g = DirectedGraph.from_edges(3, [])
+    f = FeatureMatrix.from_array([[-1.0], [-2.0], [-2.0]])
+    st = SolveState(g, f, NOPEN, [1, 1, 1], 2)
+    with pytest.raises(ValueError, match="moved twice"):
+        sweep(st, [2, 1, 1], log)
+    assert list(st.assign) == [1, 1, 1] and st.cache_drift() == 0.0
+    assert log in (None, [])
+
+
+def test_sweep_rejects_a_repeat_in_a_later_block():
+    # each 256-vertex block holds distinct vertices, so only the check of the
+    # whole order sees that the last vertex repeats the first
+    rng = np.random.default_rng(5)
+    st = random_state(rng, 600, 1200, 1, 3, Penalties(0.5, 2.0))
+    order = rng.permutation(600)
+    order[-1] = order[0]
+    before = st.assign.copy()
+    with pytest.raises(ValueError, match="moved twice"):
+        sweep(st, order)
+    assert np.array_equal(st.assign, before) and st.cache_drift() == 0.0
+
+
+def test_best_move_rejects_a_guess_over_repeated_vertices():
+    # row 2 would be scored as if vertex 1 were still in group 1, although
+    # row 1 guessed it into group 2
+    g = DirectedGraph.from_edges(3, [])
+    f = FeatureMatrix.from_array([[-1.0], [-2.0], [-2.0]])
+    st = SolveState(g, f, NOPEN, [1, 1, 1], 2)
+    with pytest.raises(ValueError, match="moved twice"):
+        best_move(st, [1, 1], guess=np.array([2, 1]))
+    with pytest.raises(ValueError, match="moved twice"):
+        st.move_deltas(np.array([1, 1]), np.array([1, 1]))
+    assert best_move(st, [1, 1])[0].tolist() == [2, 2]  # without a guess, rows are independent

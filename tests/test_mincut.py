@@ -409,6 +409,22 @@ def test_pair_step_minimizes_infinitely_weighted_edges():
     assert dict(zip(members.tolist(), targets.tolist()))[0] == 3
 
 
+@pytest.mark.parametrize("weights", [(0.0, 0.0), (0.0, 2.0)], ids=["zero", "weighted"])
+def test_pair_step_rejects_a_pair_out_of_order_or_range(weights, monkeypatch):
+    # at every weight, and before the state is read: (0, 2) names an empty
+    # group 0 and (1, 4) a group beyond k
+    inst = gen_sdag(n=30, k=3, seed=0)
+    st = SolveState.from_partition(inst.graph, inst.features, Penalties(*weights), inst.ground_truth)
+    assert st.empty_groups() == []
+    monkeypatch.setattr(mincut, "_pair_inputs", None)  # reading the pair's inputs would fail
+    cuts = {}
+    for i, j in ((3, 1), (2, 2), (0, 2), (1, 4)):
+        for store in (None, cuts):
+            with pytest.raises(ValueError, match=rf"expected 1 <= i < j <= 3, got \({i}, {j}\)"):
+                redistribute_pair(st, i, j, store)
+    assert cuts == {}
+
+
 def test_pair_sweep_skips_empty_groups():
     g = DirectedGraph.from_edges(3, [(0, 1), (1, 2)])
     f = FeatureMatrix.from_array([[0.0], [0.1], [1.0]])
@@ -618,12 +634,16 @@ def test_pair_cut_step_sees_a_move_into_a_group_between():
     assert np.array_equal(state.assign, reference.assign)
 
 
-def cut_every_pair(state, i, j):
-    """`redistribute_pair` that cuts the pair network at every weight, zero included."""
+def cut_every_pair(state, i, j, cuts=None):
+    """`redistribute_pair` that cuts the pair network anew at every weight, zero included.
+
+    `cuts` is accepted, as `pair_sweep` passes it, and ignored.
+    """
     if state.counts[i] == 0 or state.counts[j] == 0:
         return None
     net = mincut.build_cut_graph_pair(state, i, j)
-    return net.node_labels, mincut._cut_labels(net, i, j)
+    _, side = max_flow_min_cut(net)
+    return net.node_labels, np.where(side[: net.node_labels.size], i, j)
 
 
 @hst.composite

@@ -17,7 +17,6 @@ from digseg import (
     total_cost,
     update_centroids,
 )
-from digseg.driver import _write_labels
 from digseg import objective
 from digseg.objective import cross_edge_counts
 from conftest import (
@@ -373,8 +372,9 @@ def test_cached_edge_counts_are_never_stale(g, isolated, k, data):
             state.apply_move(vs, olds)
         elif op == "rebuild":
             state.rebuild()
-        else:
-            _write_labels(state, np.array(data.draw(labels), dtype=np.int64), None)
+        else:  # a whole labelling written directly, then one rebuild
+            state.assign[:] = data.draw(labels)
+            state.rebuild()
         assert_fresh()
 
 

@@ -3,21 +3,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digseg import (
+    ArborescenceError,
     Centroids,
     DirectedGraph,
     FeatureMatrix,
     OrderedPartition,
     Penalties,
+    SolveConfig,
     brute_force_dgs,
     brute_force_fixed_centroids,
+    check_arborescence,
     fixed_centroid_cost,
+    run_iterative,
     solve_tree_partition,
     solve_two_partition,
+    total_cost,
 )
 from digseg.oracle import OracleSizeError
-from conftest import random_digraph, random_features, rel_close, sse_of_partition
+from conftest import multigraphs, random_digraph, random_features, rel_close, sse_of_partition
 
 
 def test_single_vertex_lexicographic():
@@ -122,3 +129,36 @@ def test_oracle_infinite_penalties():
     # any split has a backward edge; grouping everything together is optimal
     assert part.assign[0] == part.assign[1]
     assert rel_close(cost, 0.5)
+
+
+@st.composite
+def weighted_problems(draw):
+    """A small multigraph, k = 2..3, integer features and each weight from 0 to inf."""
+    graph = draw(multigraphs())
+    d = draw(st.integers(1, 2))
+    rows = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    features = draw(st.lists(rows, min_size=graph.n, max_size=graph.n))
+    weights = st.sampled_from([0.0, 0.5, 2.0, 1e5, math.inf])
+    pen = Penalties(draw(weights), draw(weights))
+    return graph, FeatureMatrix.from_array(features), pen, draw(st.integers(2, 3)), draw(st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_problems())
+def test_no_solver_run_beats_the_oracle(problem):
+    # one group holding every vertex has no cross edge, so the optimum is
+    # finite at every weight, and no run of any solver may end below it
+    g, f, pen, k, seed = problem
+    part, cost = brute_force_dgs(g, f, pen, k)
+    assert math.isfinite(cost)
+    key = total_cost(g, f, part, pen).key
+    assert key[0] == 0 and rel_close(key[1], cost)
+    kinds = ["greedy", "mcut"]
+    try:
+        check_arborescence(g)
+        kinds.append("treedp")
+    except ArborescenceError:
+        pass
+    for kind in kinds:
+        count, finite = run_iterative(g, f, pen, k, SolveConfig(solver_kind=kind, seed=seed)).breakdown.key
+        assert count > 0 or finite >= cost - 1e-9 * max(1.0, cost)
