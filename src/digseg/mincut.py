@@ -148,12 +148,13 @@ def max_flow_min_cut(net: FlowNetwork) -> tuple[float, np.ndarray]:
     so every minimum cut puts it there; symmetrically for the sink side.
     Fixed nodes fold their arcs into their open neighbours' terminal
     capacities, and the tests repeat until no node changes or none is open.
-    Exact ties stay open.  Dinic's algorithm (BFS level graph + pointer-based blocking flow)
-    then settles the open nodes, and is skipped when none is left.  The
-    source side is the complement of the nodes that can still reach the sink
-    in the final residual network, i.e. the largest minimum cut; among cost
-    ties this leans vertices toward the source side.  The value is re-summed
-    from the full network's crossing arc capacities.
+    Exact ties stay open.  Dinic's algorithm then settles the open nodes, and
+    is skipped when none is left.  One breadth-first residual walk gives both
+    its level graphs (walking from the source) and its answer: the source
+    side is the complement of the nodes that can still reach the sink in the
+    final residual network (walking back from the sink), i.e. the largest
+    minimum cut; among cost ties this leans vertices toward the source side.
+    The value is re-summed from the full network's crossing arc capacities.
     """
     fixed, to_source, to_sink = _fix_forced_nodes(net)
     open_nodes = np.flatnonzero(fixed == 0)
@@ -212,7 +213,10 @@ def _dinic(
 ) -> np.ndarray:
     """Source side of the largest minimum s-t cut: one boolean flag per node.
 
-    Plain Dinic over arcs (tails[a], heads[a]) with capacities caps[a].
+    Plain Dinic over arcs (tails[a], heads[a]) with capacities caps[a].  One
+    residual walk serves both ends: its hop counts from s are the level
+    graph of each phase, and once s no longer reaches t the nodes it cannot
+    reach walking back from t form the source side.
     """
     # Residual arc 2e runs along the e-th positive-capacity arc, 2e + 1 against
     # it (so a ^ 1 is a's partner); a zero arc cannot carry flow and weighs 0
@@ -225,70 +229,48 @@ def _dinic(
     ids = arc_ids.tolist()
     adj = [ids[a:b] for a, b in pairwise(indptr.tolist())]
 
-    level = [-1] * n
-
-    def bfs() -> bool:
-        for i in range(n):
-            level[i] = -1
-        level[s] = 0
-        queue = [s]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
+    def hops(start: int, flip: int) -> list[int]:
+        """Breadth-first hop counts from start, -1 where unreached, along residual
+        arcs (flip 0) or against them (flip 1: u's arc a leads to to[a] when its
+        partner a ^ 1, from to[a] to u, has residual)."""
+        dist = [-1] * n
+        dist[start] = 0
+        queue = [start]
+        for u in queue:  # the queue grows while it is read
             for a in adj[u]:
                 v = to[a]
-                if level[v] < 0 and res[a] > _EPS:
-                    level[v] = level[u] + 1
+                if dist[v] < 0 and res[a ^ flip] > _EPS:
+                    dist[v] = dist[u] + 1
                     queue.append(v)
-        return level[t] >= 0
+        return dist
 
-    while bfs():
-        iters = [0] * n
+    while (level := hops(s, 0))[t] >= 0:
+        # blocking flow: advance along level arcs from each node's current arc,
+        # retreat from dead ends, push each s-t path's bottleneck
+        ptr = [0] * n
+        path: list[int] = []
+        u = s
         while True:
-            path: list[int] = []
-            u = s
-            stuck = False
-            while u != t:
-                advanced = False
-                while iters[u] < len(adj[u]):
-                    a = adj[u][iters[u]]
-                    v = to[a]
-                    if res[a] > _EPS and level[v] == level[u] + 1:
-                        path.append(a)
-                        u = v
-                        advanced = True
-                        break
-                    iters[u] += 1
-                if not advanced:
-                    if u == s:
-                        stuck = True
-                        break
-                    a = path.pop()
-                    u = to[a ^ 1]
-                    iters[u] += 1
-            if stuck:
+            if u == t:
+                bottleneck = min(res[a] for a in path)
+                for a in path:
+                    res[a] -= bottleneck
+                    res[a ^ 1] += bottleneck
+                path, u = [], s
+                continue
+            arcs, i, next_level = adj[u], ptr[u], level[u] + 1
+            while i < len(arcs) and (res[arcs[i]] <= _EPS or level[to[arcs[i]]] != next_level):
+                i += 1
+            ptr[u] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                u = to[arcs[i]]
+            elif path:
+                u = to[path.pop() ^ 1]
+                ptr[u] += 1
+            else:  # stuck at s: the flow is blocking
                 break
-            bottleneck = min(res[a] for a in path)
-            for a in path:
-                res[a] -= bottleneck
-                res[a ^ 1] += bottleneck
-
-    # Nodes that can still reach the sink: reverse reachability over residual arcs.
-    reaches_sink = [False] * n
-    reaches_sink[t] = True
-    queue = [t]
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        for b in adj[x]:
-            w = to[b]
-            # arc (w -> x) is the partner of (x -> w)
-            if not reaches_sink[w] and res[b ^ 1] > _EPS:
-                reaches_sink[w] = True
-                queue.append(w)
-    return ~np.array(reaches_sink)
+    return np.array(hops(t, 1)) < 0
 
 
 def _with_terminals(source_caps, sink_caps, tails, heads, caps):
