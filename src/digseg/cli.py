@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from .config import SOLVER_KINDS, SolveConfig, finish_result
+from .config import SOLVER_KINDS, SolveConfig, SolveResult
 from .core import (
     DirectedGraph,
     FeatureMatrix,
@@ -35,6 +35,7 @@ from .experiments import (
     run_noise_sweep,
     write_sweep_csv,
 )
+from .objective import total_cost
 from .oracle import brute_force_dgs
 
 
@@ -166,7 +167,14 @@ def _cmd_oracle(args) -> int:
     start = time.perf_counter()
     partition, total = brute_force_dgs(graph, features, penalties, args.k)
     seconds = time.perf_counter() - start
-    result = finish_result(graph, features, penalties, partition, 1, True, 0, seconds)
+    result = SolveResult(
+        partition=partition,
+        breakdown=total_cost(graph, features, partition, penalties),
+        iterations=1,
+        converged=True,
+        seed=0,
+        seconds=seconds,
+    )
     _write_file(args.out, _result_payload(graph, args.k, penalties, "oracle", result, seconds))
     return 0
 
@@ -191,7 +199,7 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     penalties = args.penalty if args.penalty else list(DEFAULT_PENALTIES)
     rows = run_noise_sweep(
-        args.model, penalties, args.p_grid, args.solver, _solve_config(args, args.solver),
+        args.model, penalties, args.p_grid, _solve_config(args, args.solver),
         n=args.n, d=args.d, k=args.clusters, sigma2=args.variance, edge_prob=args.edge_prob,
         threads=args.threads,
     )

@@ -71,29 +71,6 @@ def small_improvement(old: LossKey, new: LossKey) -> bool:
     return (old[1] - new[1]) / max(old[1], 1.0) < REL_TOL
 
 
-def finish_result(
-    graph: DirectedGraph,
-    features: FeatureMatrix,
-    penalties: Penalties,
-    partition: OrderedPartition,
-    iterations: int,
-    converged: bool,
-    seed: int,
-    seconds: float,
-    step_losses: Optional[list[LossKey]] = None,
-) -> SolveResult:
-    """Assemble a result with the breakdown recomputed from scratch."""
-    return SolveResult(
-        partition=partition,
-        breakdown=total_cost(graph, features, partition, penalties),
-        iterations=iterations,
-        converged=converged,
-        seed=seed,
-        seconds=seconds,
-        step_losses=step_losses,
-    )
-
-
 Step = Callable[[SolveState, int, Optional[list[LossKey]]], int]
 
 
@@ -138,14 +115,13 @@ def alternate(
             converged = True
             break
         loss = new_loss
-    return finish_result(
-        graph,
-        features,
-        penalties,
-        state.partition(),
-        iterations,
-        converged,
-        config.seed,
-        time.perf_counter() - start,
-        step_log,
+    partition = state.partition()
+    return SolveResult(
+        partition=partition,
+        breakdown=total_cost(graph, features, partition, penalties),
+        iterations=iterations,
+        converged=converged,
+        seed=config.seed,
+        seconds=time.perf_counter() - start,
+        step_losses=step_log,
     )

@@ -179,7 +179,6 @@ def run_noise_sweep(
     model: str,
     penalties_list: Sequence[Penalties],
     p_grid: Sequence[float],
-    solver_kind: str,
     config: SolveConfig,
     n: int = 1000,
     d: int = 10,
@@ -190,9 +189,11 @@ def run_noise_sweep(
 ) -> list[SweepRow]:
     """Solve one generated instance per noise level under each penalty setting.
 
-    Within a sweep the instance at a given p is shared across the penalty
-    settings so their scores are directly comparable.  Rows come out p-major
-    in grid order, then in penalty order.
+    Every cell runs `multi_restart` with `config`, whose `solver_kind` names
+    the solver, without step tracking.  Within a sweep the instance at a
+    given p is shared across the penalty settings so their scores are
+    directly comparable.  Rows come out p-major in grid order, then in
+    penalty order.
     """
     if model not in ("tree", "dag"):
         raise ValueError(f"model must be 'tree' or 'dag', got {model!r}")
@@ -203,7 +204,7 @@ def run_noise_sweep(
         inst = gen_sdag(n, d, k, sigma2, pair_prob, seed=inst_seed)
         noisy = inject_noise(inst, p, seed=inst_seed + 1)
         for pen in penalties_list:
-            cell_config = dataclasses.replace(config, solver_kind=solver_kind, track_steps=False)
+            cell_config = dataclasses.replace(config, track_steps=False)
             start = time.perf_counter()
             result = multi_restart(noisy.graph, noisy.features, pen, k, cell_config, threads=threads)
             elapsed = time.perf_counter() - start
@@ -212,7 +213,7 @@ def run_noise_sweep(
                     p=float(p),
                     lambda_f=pen.lambda_f,
                     lambda_b=pen.lambda_b,
-                    solver=solver_kind,
+                    solver=config.solver_kind,
                     loss=result.breakdown.total,
                     ari=adjusted_rand_index(result.partition, noisy.ground_truth),
                     iterations=result.iterations,

@@ -6,11 +6,13 @@ shares v's group (cost c[w, i]), sits in a later group (forward edge,
 lambda_f + u[w, i]) or in an earlier one (backward edge, lambda_b + l[w, i]),
 where l and u are prefix/suffix minima of c over groups.
 
-The tables are filled one depth level at a time, deepest first, over whole
-arrays: a level's prefix and suffix minima come from `np.minimum.accumulate`,
-and its children's branch optima are pushed into their parents with
-`np.add.at` in edge order, so every sum is added in the same order as a
-vertex-by-vertex fill.  The backtrack is one gather per level, roots first.
+The fill goes one depth level at a time, deepest first, over whole arrays:
+a level's prefix and suffix minima come from `np.minimum.accumulate`, the
+fill records each child's best group for every group of its parent (the
+back-pointers), and the children's branch optima are pushed into their
+parents with `np.add.at` in edge order, so every sum is added in the same
+order as a vertex-by-vertex fill.  The backtrack follows the back-pointers
+with one gather per level, roots first.
 Python-level work is therefore proportional to the forest's depth, and an
 arbitrarily deep path needs no recursion.
 
@@ -99,64 +101,45 @@ class TreeLayout:
         return cls(levels=tuple(levels), parent=parent)
 
 
-@dataclass(frozen=True, eq=False)
-class DpTables:
-    """Per-vertex cost tables (columns are groups 1..k, stored 0-based).
-
-    `ell[v, i]` / `u[v, i]` are the cheapest costs of placing v strictly
-    below / above group i+1, with `ell_arg` / `u_arg` holding the smallest
-    0-based group attaining them (-1 where the range is empty, and in
-    `ell_arg` also where every group of the range costs inf).
-    """
-
-    c: np.ndarray
-    ell: np.ndarray
-    u: np.ndarray
-    ell_arg: np.ndarray
-    u_arg: np.ndarray
-    roots: list[int]
-
-
 def compute_dp_tables(
     graph: DirectedGraph,
     features: FeatureMatrix,
     centroids: Centroids,
     penalties: Penalties,
     layout: Optional[TreeLayout] = None,
-) -> DpTables:
-    """Fill the dynamic-programming tables for an arborescence forest.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fill the cost table and the back-pointers for an arborescence forest.
 
-    `layout` must be `TreeLayout.from_graph(graph)`; it is built when omitted.
+    Returns `(c, choice)`, both (n, k) with groups stored 0-based:
+    `c[v, i]` is the optimal cost of v's subtree with v in group i, and
+    `choice[w, i]` is w's group in that optimum when w's parent sits in
+    group i.  Root rows of `choice` are left unset.  `layout` must be
+    `TreeLayout.from_graph(graph)`; it is built when omitted.
     """
     if layout is None:
         layout = TreeLayout.from_graph(graph)
     k = centroids.k
     lam_f, lam_b = penalties.lambda_f, penalties.lambda_b
     c = vertex_group_costs(features, centroids)
-    ell = np.empty_like(c)
-    u = np.empty_like(c)
-    ell[:, 0] = math.inf
-    u[:, -1] = math.inf
-    for depth in range(len(layout.levels) - 1, -1, -1):
-        vs = layout.levels[depth]
-        rows = c[vs]  # final: every child of the level has been pushed
-        ell[vs, 1:] = np.minimum.accumulate(rows[:, :-1], axis=1)
-        u[vs, :-1] = np.minimum.accumulate(rows[:, :0:-1], axis=1)[:, ::-1]
-        if depth:
-            branch = np.minimum(rows, np.minimum(lam_f + u[vs], lam_b + ell[vs]))
-            np.add.at(c, layout.parent[vs], branch)
-
-    # A group is the running argmin where it beats the running minimum:
-    # strictly from the left, so ties keep the lowest group, and non-strictly
-    # from the right, which reaches the same lowest group.
+    choice = np.empty(c.shape, dtype=np.int64)
     cols = np.arange(k)
-    ell_arg = np.full(c.shape, -1, dtype=np.int64)
-    u_arg = np.full(c.shape, -1, dtype=np.int64)
-    ell_arg[:, 1:] = np.maximum.accumulate(np.where(c < ell, cols, -1), axis=1)[:, :-1]
-    u_arg[:, :-1] = np.minimum.accumulate(np.where(c <= u, cols, k)[:, ::-1], axis=1)[:, -2::-1]
-    return DpTables(
-        c=c, ell=ell, u=u, ell_arg=ell_arg, u_arg=u_arg, roots=layout.levels[0].tolist()
-    )
+    for vs in layout.levels[:0:-1]:
+        rows = c[vs]  # final: every child of the level has been pushed
+        ell, u = np.full((2, len(vs), k), math.inf)
+        ell[:, 1:] = np.minimum.accumulate(rows[:, :-1], axis=1)
+        u[:, :-1] = np.minimum.accumulate(rows[:, :0:-1], axis=1)[:, ::-1]
+        # The lowest group attaining each minimum: a group is the running
+        # argmin where it beats the running minimum, strictly from the left
+        # and non-strictly from the right.  An empty range points at -1, and
+        # so does a prefix that costs inf; neither is ever chosen.
+        ell_arg, u_arg = np.full((2, len(vs), k), -1)
+        ell_arg[:, 1:] = np.maximum.accumulate(np.where(rows < ell, cols, -1), axis=1)[:, :-1]
+        u_arg[:, :-1] = np.minimum.accumulate(np.where(rows <= u, cols, k)[:, ::-1], axis=1)[:, -2::-1]
+        fwd, bwd = lam_f + u, lam_b + ell
+        stay = (rows <= fwd) & (rows <= bwd)
+        choice[vs] = np.where(stay, cols, np.where(fwd <= bwd, u_arg, ell_arg))
+        np.add.at(c, layout.parent[vs], np.minimum(rows, np.minimum(fwd, bwd)))
+    return c, choice
 
 
 def solve_tree_partition(
@@ -170,24 +153,17 @@ def solve_tree_partition(
 
     Groups with undefined centers are treated as forbidden (infinite point
     cost).  Tie-breaking is deterministic: equal branch cases prefer keeping
-    the parent's group over a forward edge over a backward edge, and equal
-    root costs prefer the lowest group.  The forest optimum is the sum of the
-    per-tree optima.  `layout` must be `TreeLayout.from_graph(graph)`; it is
-    built when omitted, and passing it saves the check and the breadth-first
-    pass when the same forest is solved repeatedly.
+    the parent's group over a forward edge over a backward edge, a forward
+    or backward edge goes to the lowest group of least subtree cost in its
+    range, and equal root costs prefer the lowest group.  The forest optimum
+    is the sum of the per-tree optima.  `layout` must be
+    `TreeLayout.from_graph(graph)`; it is built when omitted, and passing it
+    saves the check and the breadth-first pass when the same forest is
+    solved repeatedly.
     """
     if layout is None:
         layout = TreeLayout.from_graph(graph)
-    tables = compute_dp_tables(graph, features, centroids, penalties, layout)
-    c = tables.c
-    fwd = penalties.lambda_f + tables.u
-    bwd = penalties.lambda_b + tables.ell
-    # choice[w, i]: w's group when its parent sits in group i.
-    choice = np.where(
-        (c <= fwd) & (c <= bwd),
-        np.arange(centroids.k),
-        np.where(fwd <= bwd, tables.u_arg, tables.ell_arg),
-    )
+    c, choice = compute_dp_tables(graph, features, centroids, penalties, layout)
     col = np.empty(graph.n, dtype=np.int64)
     roots = layout.levels[0]
     col[roots] = np.argmin(c[roots], axis=1)

@@ -239,7 +239,7 @@ def test_criterion_6_noise_sweep_qualitative():
         acc = {(p, pen.lambda_b): [] for p in p_grid for pen in pens}
         for seed in range(5):
             cfg = SolveConfig(restarts=10, seed=seed, solver_kind=solver)
-            rows = run_noise_sweep(model, pens, p_grid, solver, cfg, sigma2=SIGMA2)
+            rows = run_noise_sweep(model, pens, p_grid, cfg, sigma2=SIGMA2)
             for r in rows:
                 acc[(r.p, r.lambda_b)].append(r.ari)
         return {key: float(np.mean(v)) for key, v in acc.items()}

@@ -150,7 +150,7 @@ def test_ari_errors():
 
 
 def test_sweep_empty_grid_header_only():
-    rows = run_noise_sweep("tree", [Penalties(0, 0)], [], "greedy", SolveConfig(seed=0))
+    rows = run_noise_sweep("tree", [Penalties(0, 0)], [], SolveConfig(seed=0))
     buf = io.StringIO()
     write_sweep_csv(rows, buf)
     assert buf.getvalue() == ",".join(SWEEP_HEADER) + "\n"
@@ -159,9 +159,7 @@ def test_sweep_empty_grid_header_only():
 def test_sweep_rows_structure_and_order():
     cfg = SolveConfig(restarts=2, seed=1, max_iters=20)
     pens = [Penalties(0.0, 0.0), Penalties(0.0, 10.0)]
-    rows = run_noise_sweep(
-        "tree", pens, [0.0, 0.4], "greedy", cfg, n=60, d=3, k=3, sigma2=0.05
-    )
+    rows = run_noise_sweep("tree", pens, [0.0, 0.4], cfg, n=60, d=3, k=3, sigma2=0.05)
     assert len(rows) == 4
     assert [r.p for r in rows] == [0.0, 0.0, 0.4, 0.4]  # p-major ordering
     assert [r.lambda_b for r in rows] == [0.0, 10.0, 0.0, 10.0]
@@ -181,7 +179,7 @@ def test_sweep_zero_backward_weight_loses_the_order_at_half_noise():
     # which agree with the ordered ground truth on only ~a quarter of the pairs
     cfg = SolveConfig(restarts=5, seed=0, solver_kind="treedp")
     rows = run_noise_sweep(
-        "tree", [Penalties(0.0, 0.0)], [0.5], "treedp", cfg, n=500, d=10, k=5, sigma2=0.01
+        "tree", [Penalties(0.0, 0.0)], [0.5], cfg, n=500, d=10, k=5, sigma2=0.01
     )
     assert rows[0].ari < 0.3
 
@@ -202,6 +200,6 @@ def test_multi_restart_parallel_matches_serial():
 def test_sweep_deterministic():
     cfg = SolveConfig(restarts=2, seed=3, max_iters=15)
     pens = [Penalties(0.0, 5.0)]
-    a = run_noise_sweep("dag", pens, [0.2], "greedy", cfg, n=40, d=2, k=2, sigma2=0.05)
-    b = run_noise_sweep("dag", pens, [0.2], "greedy", cfg, n=40, d=2, k=2, sigma2=0.05)
+    a = run_noise_sweep("dag", pens, [0.2], cfg, n=40, d=2, k=2, sigma2=0.05)
+    b = run_noise_sweep("dag", pens, [0.2], cfg, n=40, d=2, k=2, sigma2=0.05)
     assert a[0].loss == b[0].loss and a[0].ari == b[0].ari

@@ -2,17 +2,19 @@
 
 This is the straightforward fill: every vertex in reversed preorder adds its
 children's branch optima one by one, then scans its row for the prefix and
-suffix minima; the backtrack walks the forest with an explicit stack.  The
-library's fill must reproduce its tables, labels and cost bit for bit.
+suffix minima with the lowest groups attaining them; the backtrack walks the
+forest with an explicit stack, picking each child's group from those tables.
+The library must reproduce its cost table `c`, its back-pointers `choice` on
+every non-root row, its labels and its cost bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from digseg.treedp import DpTables
 from digseg.objective import vertex_group_costs
 
 
@@ -24,7 +26,45 @@ def children_lists(graph) -> list[list[int]]:
     return kids
 
 
-def reference_dp_tables(graph, features, centroids, penalties) -> DpTables:
+@dataclass(frozen=True, eq=False)
+class ReferenceTables:
+    """Per-vertex tables (columns are groups 1..k, stored 0-based).
+
+    `ell[v, i]` / `u[v, i]` are the cheapest costs of placing v strictly
+    below / above group i+1, with `ell_arg` / `u_arg` holding the smallest
+    0-based group attaining them (-1 where the range is empty, and in
+    `ell_arg` also where every group of the range costs inf).
+    """
+
+    c: np.ndarray
+    ell: np.ndarray
+    u: np.ndarray
+    ell_arg: np.ndarray
+    u_arg: np.ndarray
+    roots: list[int]
+    lambda_f: float
+    lambda_b: float
+
+    def child_group(self, w: int, col: int) -> int:
+        """w's 0-based group when its parent sits in group `col`."""
+        same = self.c[w, col]
+        fwd = self.lambda_f + self.u[w, col]
+        bwd = self.lambda_b + self.ell[w, col]
+        if same <= fwd and same <= bwd:
+            return col
+        if fwd <= bwd:
+            return int(self.u_arg[w, col])
+        return int(self.ell_arg[w, col])
+
+    def choice(self) -> np.ndarray:
+        """`child_group` for every vertex and parent group, an (n, k) array."""
+        n, k = self.c.shape
+        return np.array(
+            [[self.child_group(w, col) for col in range(k)] for w in range(n)], dtype=np.int64
+        )
+
+
+def reference_dp_tables(graph, features, centroids, penalties) -> ReferenceTables:
     kids = children_lists(graph)
     has_parent = {v for _, v in graph.edges}
     roots = [v for v in range(graph.n) if v not in has_parent]
@@ -62,13 +102,15 @@ def reference_dp_tables(graph, features, centroids, penalties) -> DpTables:
             u_arg[v, i] = arg
             if row[i] <= best:  # non-strict from the right: ties keep the lowest group
                 best, arg = row[i], i
-    return DpTables(c=c, ell=ell, u=u, ell_arg=ell_arg, u_arg=u_arg, roots=roots)
+    return ReferenceTables(
+        c=c, ell=ell, u=u, ell_arg=ell_arg, u_arg=u_arg, roots=roots,
+        lambda_f=lam_f, lambda_b=lam_b,
+    )
 
 
 def reference_solve(graph, features, centroids, penalties) -> tuple[np.ndarray, float]:
     """(labels 1..k, cost) by an explicit-stack backtrack over the reference tables."""
     tables = reference_dp_tables(graph, features, centroids, penalties)
-    lam_f, lam_b = penalties.lambda_f, penalties.lambda_b
     kids = children_lists(graph)
     assign = np.ones(graph.n, dtype=np.int64)
     total = 0.0
@@ -79,15 +121,5 @@ def reference_solve(graph, features, centroids, penalties) -> tuple[np.ndarray, 
         while stack:
             v, col = stack.pop()
             assign[v] = col + 1
-            for w in kids[v]:
-                same = tables.c[w, col]
-                fwd = lam_f + tables.u[w, col]
-                bwd = lam_b + tables.ell[w, col]
-                if same <= fwd and same <= bwd:
-                    child_col = col
-                elif fwd <= bwd:
-                    child_col = int(tables.u_arg[w, col])
-                else:
-                    child_col = int(tables.ell_arg[w, col])
-                stack.append((w, child_col))
+            stack.extend((w, tables.child_group(w, col)) for w in kids[v])
     return assign, total
