@@ -33,9 +33,6 @@ class SyntheticInstance:
     sigma2: float
 
 
-_MAX_PAIRS = 1 << 25  # gen_sdag draws every pair flag at once, about 25 bytes each
-
-
 def gen_sdag(
     n: int = 1000,
     d: int = 10,
@@ -50,8 +47,8 @@ def gen_sdag(
     The tree's root is vertex 0 and every edge goes id-up.  Pair edges are
     drawn independently of the tree, so parallel duplicates can occur; with
     edge_prob = 0 there are none, which is `gen_stree`.
-    All n(n-1)/2 pair flags are drawn at once, so with edge_prob > 0 more
-    than 2^25 pairs (n > 8192, about 0.8 GB) are refused.
+    The n(n-1)/2 pair flags come from one stream, row by row in row-major
+    order: O(n^2) time, but memory for only one row of flags at a time.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -59,12 +56,10 @@ def gen_sdag(
         raise ValueError(f"need k >= 1 clusters, got {k}")
     if n % k:
         raise ValueError(f"n must be divisible by k, got n={n}, k={k}")
-    if sigma2 < 0:
-        raise ValueError(f"variance must be non-negative, got {sigma2}")
+    if not 0.0 <= sigma2 < math.inf:
+        raise ValueError(f"variance must be finite and non-negative, got {sigma2}")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {edge_prob}")
-    if edge_prob > 0.0 and n * (n - 1) // 2 > _MAX_PAIRS:
-        raise ValueError(f"n={n} is too large for pair edges: at most {_MAX_PAIRS} pairs (n <= 8192)")
     # independent streams keep the tree and features identical whether or not
     # pair edges are drawn
     tree_ss, pair_ss, feat_ss = np.random.SeedSequence(norm_seed(seed)).spawn(3)
@@ -74,11 +69,11 @@ def gen_sdag(
     if n > 1:
         src = np.random.default_rng(tree_ss).integers(0, np.arange(1, n))
         dst = np.arange(1, n)
-    if edge_prob > 0.0 and n > 1:
+    if edge_prob > 0.0:
         pair_rng = np.random.default_rng(pair_ss)
-        iu, ju = np.triu_indices(n, k=1)
-        hits = pair_rng.random(iu.size) < edge_prob
-        src, dst = np.concatenate((src, iu[hits])), np.concatenate((dst, ju[hits]))
+        heads = [i + 1 + np.flatnonzero(pair_rng.random(n - 1 - i) < edge_prob) for i in range(n - 1)]
+        tails = np.repeat(np.arange(n - 1), [h.size for h in heads])
+        src, dst = np.concatenate((src, tails)), np.concatenate((dst, *heads))
     graph = DirectedGraph.from_edges(n, np.column_stack((src, dst)))
 
     feat_rng = np.random.default_rng(feat_ss)

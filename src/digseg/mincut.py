@@ -117,9 +117,9 @@ class FlowNetwork:
                 raise ValueError(f"arc endpoints must lie in 0..{num_nodes - 1}")
         if np.isnan(caps).any():
             raise ValueError("arc capacities must not be NaN")
-        _snap(caps)
         if caps.size and caps.min() < 0:
             raise ValueError("arc capacities must be non-negative")
+        _snap(caps)
         infinite = np.isinf(caps)
         # plain left-to-right addition: sum() compensates from Python 3.12 on
         sentinel = 1.0 + float(np.cumsum(np.append(0.0, caps[~infinite]))[-1])

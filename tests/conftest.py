@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pytest
 from hypothesis import strategies as st
 
 from digseg import DirectedGraph, FeatureMatrix, OrderedPartition, Penalties, SolveState
@@ -22,14 +21,6 @@ def random_digraph(rng: np.random.Generator, n: int, m: int) -> DirectedGraph:
         if u != v:
             edges.append((u, v))
     return DirectedGraph.from_edges(n, edges)
-
-
-@pytest.fixture
-def no_pair_draw(monkeypatch):
-    """Make `gen_sdag`'s pair-flag draw raise, so a test of its size guard allocates nothing."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("pair flags drawn")
-    monkeypatch.setattr(np, "triu_indices", refuse)
 
 
 @st.composite

@@ -198,10 +198,11 @@ def test_synth_rejects_zero_clusters(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_synth_refuses_a_dag_too_large_to_draw(tmp_path, capsys, no_pair_draw):
+def test_synth_names_a_non_finite_variance(tmp_path, capsys):
     prefix = str(tmp_path / "inst")
-    assert run_cli("synth", "--model", "dag", "--n", "20000", "--out-prefix", prefix) == 1
-    assert "error: n=20000" in capsys.readouterr().err
+    assert run_cli("synth", "--model", "dag", "--n", "10", "--variance", "nan",
+                   "--out-prefix", prefix) == 1
+    assert "error: variance must be finite and non-negative, got nan" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -17,6 +17,7 @@ from digseg import (
     total_cost,
     write_sweep_csv,
 )
+from digseg.config import norm_seed
 from digseg.experiments import SWEEP_HEADER
 
 
@@ -48,16 +49,24 @@ def test_gen_sdag_zero_prob_equals_tree():
     assert np.array_equal(a.features.values, b.features.values)
 
 
-def test_gen_sdag_refuses_too_many_pairs_before_drawing(no_pair_draw):
-    # 8193 * 8192 / 2 pairs is just over 2^25; 8192 * 8191 / 2 is under it
-    with pytest.raises(ValueError, match=r"n=8193 .* 33554432 pairs"):
-        gen_sdag(n=8193, d=1, k=3, sigma2=0.1, edge_prob=0.01, seed=0)
-    with pytest.raises(ValueError, match="n=20000"):
-        gen_sdag(n=20000, d=1, k=5, sigma2=0.1, edge_prob=1e-6, seed=0)
-    with pytest.raises(AssertionError, match="pair flags drawn"):
-        gen_sdag(n=8192, d=1, k=4, sigma2=0.1, edge_prob=0.01, seed=0)
-    assert gen_stree(n=8193, d=1, k=3, sigma2=0.1, seed=0).graph.m == 8192
-    assert gen_sdag(n=8193, d=1, k=3, sigma2=0.1, edge_prob=0.0, seed=0).graph.m == 8192
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 1000])
+@pytest.mark.parametrize("p", [1e-4, 0.01, 0.5, 1.0])
+@pytest.mark.parametrize("seed", range(4))
+def test_gen_sdag_pair_edges_are_one_shot_draw_of_the_pair_stream(n, p, seed):
+    # the pair edges are the flags of one draw over all pairs in row-major order,
+    # the generator's stream taken as a whole rather than row by row
+    iu, ju = np.triu_indices(n, 1)
+    pair_ss = np.random.SeedSequence(norm_seed(seed)).spawn(3)[1]
+    hits = np.random.default_rng(pair_ss).random(iu.size) < p
+    inst = gen_sdag(n=n, d=1, k=1, sigma2=0.1, edge_prob=p, seed=seed)
+    assert np.array_equal(inst.graph.edge_src[n - 1:], iu[hits])
+    assert np.array_equal(inst.graph.edge_dst[n - 1:], ju[hits])
+
+
+@pytest.mark.parametrize("sigma2", [-1.0, math.nan, math.inf])
+def test_gen_sdag_rejects_a_variance_that_is_not_finite_and_non_negative(sigma2):
+    with pytest.raises(ValueError, match="variance must be finite and non-negative"):
+        gen_sdag(n=10, d=1, k=2, sigma2=sigma2, edge_prob=0.1, seed=0)
 
 
 def test_gen_sdag_full_prob_edge_count():
@@ -66,12 +75,12 @@ def test_gen_sdag_full_prob_edge_count():
     assert inst.graph.m == (n - 1) + n * (n - 1) // 2
 
 
-def test_gen_sdag_edge_count_within_five_sigma():
-    n = 1000
-    inst = gen_sdag(n=n, d=2, k=5, sigma2=0.1, edge_prob=0.01, seed=6)
+@pytest.mark.parametrize("n, p", [(1000, 0.01), (20000, 0.0005)])
+def test_gen_sdag_edge_count_within_five_sigma(n, p):
+    inst = gen_sdag(n=n, d=2, k=5, sigma2=0.1, edge_prob=p, seed=6)
     pairs = n * (n - 1) // 2
-    mean = (n - 1) + 0.01 * pairs
-    sigma = math.sqrt(pairs * 0.01 * 0.99)
+    mean = (n - 1) + p * pairs
+    sigma = math.sqrt(pairs * p * (1 - p))
     assert abs(inst.graph.m - mean) <= 5 * sigma
 
 

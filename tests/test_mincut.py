@@ -170,8 +170,9 @@ def test_from_arcs_rejects_invalid_input():
         FlowNetwork.from_arcs(3, 0, 2, [-1], [2], [1.0])
     with pytest.raises(ValueError, match="equal length"):
         FlowNetwork.from_arcs(3, 0, 2, [0, 1], [1, 2], [1.0])
-    with pytest.raises(ValueError, match="non-negative"):
-        FlowNetwork.from_arcs(2, 0, 1, [0], [1], [-1.0])
+    for caps in ([-1.0], [-1e-13]):  # a tiny negative is refused before it could snap to zero
+        with pytest.raises(ValueError, match="non-negative"):
+            FlowNetwork.from_arcs(2, 0, 1, [0], [1], caps)
     with pytest.raises(ValueError, match="two different nodes"):
         FlowNetwork.from_arcs(2, 0, 0, [0], [1], [1.0])
     with pytest.raises(ValueError, match="two different nodes"):
@@ -481,6 +482,19 @@ def test_two_partition_agrees_with_tree_dp_at_full_size(seed):
         assert math.isfinite(cut_cost)
         assert rel_close(cut_cost, tree_cost)
         assert rel_close(fixed_centroid_cost(g, f, tree_part, cents, pen), tree_cost)
+
+
+def test_two_partition_agrees_with_tree_dp_at_scale():
+    # n = 20,000 at the instance's true centers: the same labels, not only the same cost
+    inst = inject_noise(gen_stree(20000, 10, 2, 0.01, seed=1), 0.5, seed=101)
+    g, f = inst.graph, inst.features
+    cents = Centroids.from_rows(inst.true_centroids)
+    for pen in (Penalties(0.0, 1e5), Penalties(0.0, math.inf), Penalties(0.5, 2.0), Penalties(1e7, 1e7)):
+        cut_part, cut_cost = solve_two_partition(g, f, cents.mu[0], cents.mu[1], pen)
+        tree_part, tree_cost = solve_tree_partition(g, f, cents, pen)
+        assert np.array_equal(cut_part.assign, tree_part.assign)
+        assert math.isfinite(cut_cost)
+        assert abs(cut_cost - tree_cost) <= 1e-12 * abs(tree_cost)
 
 
 def test_run_mcut_fixed_point_on_optimal_init():
