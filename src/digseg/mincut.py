@@ -11,21 +11,27 @@ lambda_b backward.  Each infinitely weighted edge costs a finite sentinel
 above all finite parts together, so a minimum cut has the fewest such edges,
 then the lowest finite part.
 
-`max_flow_min_cut` first fixes, exactly, every node whose side all minimum
-cuts agree on (its terminal surplus outweighs all its arcs to undecided
-nodes), folding the arcs of fixed nodes into their neighbours' terminal
-arcs, and runs Dinic only on the nodes left open.  Every cut network goes
-through it; at zero weights it decides every node that is not an exact tie,
-and at weights (0, 1e5) it leaves only a few percent of the nodes open.
-The reduction stops as soon as no node is open, since a further round could
-not change a side.
+`max_flow_min_cut` first tries the cut that gives every node its cheaper
+terminal arcs (`_cheaper_terminals`: the sink side iff its arcs to the sink
+outweigh its arcs from the source by more than `_EPS`, ties to the source
+side).  Every cut pays at least each node's cheaper terminal total, so when
+no positive arc between two other nodes crosses that choice it is a
+minimum cut (the bound behind the persistency reduction, Hammer, Hansen &
+Simeone 1984), and the largest one, since a sink-side node is dearer on the
+source side by a grid step.  At weights (0, 1e5) about three pair networks
+in four end there.  Otherwise it fixes, exactly, every node whose side all
+minimum cuts agree on (its terminal surplus outweighs all its arcs to
+undecided nodes), folding the arcs of fixed nodes into their neighbours'
+terminal arcs, and runs Dinic only on the nodes left open.  Every cut
+network goes through `max_flow_min_cut`; at weights (0, 1e5) the reduction
+leaves only a few percent of the nodes open.  It stops as soon as no node
+is open, since a further round could not change a side.
 
 The zero-weight pair step builds no network.  With both weights at 0 every
-arc between members weighs 0, so the reduction fixes each member by its two
-terminal arcs and leaves only exact ties open, which Dinic puts on the
-source side.  `redistribute_pair` therefore compares each member's two
-prices, snapped to the same grid, directly: group j iff the price of i
-exceeds the price of j by more than `_EPS`, group i otherwise.
+arc between members weighs 0, so no such arc crosses the cheaper-terminal
+choice, which is therefore the cut.  `redistribute_pair` compares each
+member's two prices, snapped to the same grid, directly: group j iff the
+price of i exceeds the price of j by more than `_EPS`, group i otherwise.
 
 `redistribute_pair` is the whole pair step.  It reads the pair's inputs
 once (`_pair_inputs`: each vertex's band, in group i or j, in a group
@@ -141,8 +147,10 @@ class FlowNetwork:
 def max_flow_min_cut(net: FlowNetwork) -> tuple[float, np.ndarray]:
     """Minimum s-t cut value and its source side, one boolean flag per node.
 
-    First an exact reduction fixes every node whose side is forced
-    (persistency: Hammer, Hansen & Simeone 1984).  A node whose terminal
+    The cut that gives every node its cheaper terminal arcs is returned as
+    it is when no arc crosses it (`_cheaper_terminals`, see the module
+    docstring).  Otherwise an exact reduction fixes every node whose side is
+    forced (persistency: Hammer, Hansen & Simeone 1984).  A node whose terminal
     surplus A - B (arcs from source-side nodes minus arcs to sink-side nodes)
     exceeds its arcs to open nodes lowers any cut by joining the source side,
     so every minimum cut puts it there; symmetrically for the sink side.
@@ -156,6 +164,9 @@ def max_flow_min_cut(net: FlowNetwork) -> tuple[float, np.ndarray]:
     minimum cut; among cost ties this leans vertices toward the source side.
     The value is re-summed from the full network's crossing arc capacities.
     """
+    on_source = _cheaper_terminals(net)
+    if on_source is not None:
+        return net.cut_weight(on_source), on_source
     fixed, to_source, to_sink = _fix_forced_nodes(net)
     open_nodes = np.flatnonzero(fixed == 0)
     if open_nodes.size:
@@ -172,6 +183,27 @@ def max_flow_min_cut(net: FlowNetwork) -> tuple[float, np.ndarray]:
         fixed[open_nodes] = np.where(_dinic(m + 2, m, m + 1, *arcs)[:m], 1, -1)
     on_source = fixed > 0
     return net.cut_weight(on_source), on_source
+
+
+def _cheaper_terminals(net: FlowNetwork) -> Optional[np.ndarray]:
+    """Source side giving each node its cheaper terminal arcs, if that is the cut; else None.
+
+    A node other than the terminals joins the sink side iff its arcs to the
+    sink outweigh its arcs from the source, each summed in arc order, by
+    more than `_EPS`.  The answer is None when a positive arc between two
+    such nodes runs from the source side to the sink side.
+    """
+    n, s, t = net.num_nodes, net.source, net.sink
+    tails, heads, caps = net.tails, net.heads, net.caps
+    from_s, to_t = tails == s, heads == t
+    from_source = np.bincount(heads[from_s], caps[from_s], minlength=n)
+    to_sink = np.bincount(tails[to_t], caps[to_t], minlength=n)
+    on_source = to_sink - from_source <= _EPS
+    on_source[s], on_source[t] = True, False
+    inner = ~from_s & ~to_t & (caps > 0.0)
+    if (on_source[tails[inner]] & ~on_source[heads[inner]]).any():
+        return None
+    return on_source
 
 
 def _fix_forced_nodes(net: FlowNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -559,15 +559,16 @@ def fresh_cuts_step(state, it, step_log):
     return pair_sweep(state, step_log, {})
 
 
-def counting_builds(monkeypatch):
+def counting_builds(monkeypatch, name="build_cut_graph_pair"):
+    """Count the calls to `mincut.<name>`, by default the pair network builds."""
     calls = [0]
-    build = mincut.build_cut_graph_pair
+    build = getattr(mincut, name)
 
     def counted(*args):
         calls[0] += 1
         return build(*args)
 
-    monkeypatch.setattr(mincut, "build_cut_graph_pair", counted)
+    monkeypatch.setattr(mincut, name, counted)
     return calls
 
 
@@ -662,12 +663,12 @@ def cut_every_pair(state, i, j, cuts=None):
 
 
 @hst.composite
-def zero_weight_pair_states(draw):
+def pair_states(draw, weights=hst.just((0.0, 0.0))):
     """A small digraph with small-integer features, often duplicated, at a scale
     whose prices stay below 2^12 (snapped) or pass it (not snapped); a
-    labelling into k = 2..4 groups and a pair i < j of nonempty groups.
-    Such points often lie exactly equidistant from the two centers, so
-    exact price ties are common."""
+    labelling into k = 2..4 groups, weights drawn from `weights` (both 0 by
+    default) and a pair i < j of nonempty groups.  Such points often lie
+    exactly equidistant from the two centers, so exact price ties are common."""
     n = draw(hst.integers(2, 12))
     k = draw(hst.integers(2, 4))
     d = draw(hst.integers(1, 2))
@@ -681,18 +682,79 @@ def zero_weight_pair_states(draw):
     assign[0], assign[1] = i, j
     graph = DirectedGraph.from_edges(n, edges)
     features = FeatureMatrix.from_array(np.array(rows, dtype=np.float64) * scale)
-    return SolveState(graph, features, Penalties(0.0, 0.0), assign, k), i, j
+    return SolveState(graph, features, Penalties(*draw(weights)), assign, k), i, j
 
 
-@settings(max_examples=500, deadline=None)
-@given(zero_weight_pair_states())
-def test_zero_weight_pair_pricing_matches_the_cut(problem):
-    # the members and their groups, exact ties included, are those of the cut
-    st, i, j = problem
+def assert_pair_step_is_the_cut(st, i, j):
+    """The members and their groups, exact ties included, are those of the cut."""
     members, targets = redistribute_pair(st, i, j)
     cut_members, cut_targets = cut_every_pair(st, i, j)
     assert np.array_equal(members, cut_members)
     assert np.array_equal(targets, cut_targets)
+
+
+@settings(max_examples=500, deadline=None)
+@given(pair_states())
+def test_zero_weight_pair_pricing_matches_the_cut(problem):
+    assert_pair_step_is_the_cut(*problem)
+
+
+CERTIFICATE_WEIGHTS = [
+    (0.0, 0.0), (0.0, 1e5), (0.5, 2.0), (2.0, 0.0), (1e7, 1e7),
+    (0.0, math.inf), (math.inf, math.inf),
+]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(pair_states(hst.sampled_from(CERTIFICATE_WEIGHTS)))
+def test_pair_network_cut_matches_plain_dinic(problem):
+    # whether the cheaper-terminal choice is the cut or the reduction and
+    # Dinic run, the pair network's cut is the largest minimum cut, and the
+    # pair step's members and groups are that cut's, exact ties included
+    st, i, j = problem
+    net = mincut.build_cut_graph_pair(st, i, j)
+    assert same_cut(max_flow_min_cut(net), plain_dinic(net))
+    assert_pair_step_is_the_cut(st, i, j)
+
+
+def test_pair_cut_reduces_only_when_an_edge_crosses_the_cheaper_terminals(monkeypatch):
+    # groups 1 and 2 have centers 7/3 and 10: vertex 2 at 7 is cheaper in
+    # group 2.  Its forward edge from vertex 0 weighs 0, so that choice is
+    # the cut; a backward edge into group 1 crosses it, and the reduction
+    # and Dinic place vertex 2 in group 1 instead.
+    f = FeatureMatrix.from_array([[0.0], [0.0], [7.0], [10.0], [10.0]])
+    pen = Penalties(0.0, 1e5)
+    builds = counting_builds(monkeypatch)
+    reductions = counting_builds(monkeypatch, "_fix_forced_nodes")
+    for edges, reduced, expected in [
+        ([(0, 2), (2, 3), (1, 4)], 0, [1, 1, 2, 2, 2]),
+        ([(0, 2), (2, 3), (1, 4), (2, 0)], 1, [1, 1, 1, 2, 2]),
+    ]:
+        st = SolveState(DirectedGraph.from_edges(5, edges), f, pen, [1, 1, 1, 2, 2], 2)
+        builds[0] = reductions[0] = 0
+        members, targets = redistribute_pair(st, 1, 2)
+        assert (builds[0], reductions[0]) == (1, reduced)
+        assert members.tolist() == [0, 1, 2, 3, 4]
+        assert targets.tolist() == expected
+        net = mincut.build_cut_graph_pair(st, 1, 2)
+        assert np.array_equal(np.where(plain_dinic(net)[1][:5], 1, 2), targets)
+
+
+def test_cheaper_terminals_weigh_the_sentinel_of_an_infinitely_weighted_edge(monkeypatch):
+    # vertex 1 is nearer group 1, but its edge from vertex 4 in group 2, the
+    # group between, lies backward there at infinite weight: its arc to the
+    # sink carries the sentinel, so its cheaper terminal is group 3, and no
+    # arc crosses that choice
+    f = FeatureMatrix.from_array([[0.0], [1.0], [10.0], [10.0], [5.0]])
+    g = DirectedGraph.from_edges(5, [(4, 1)])
+    st = SolveState(g, f, Penalties(0.0, math.inf), [1, 1, 3, 3, 2], 3)
+    reductions = counting_builds(monkeypatch, "_fix_forced_nodes")
+    members, targets = redistribute_pair(st, 1, 3)
+    assert reductions[0] == 0
+    assert members.tolist() == [0, 1, 2, 3]
+    assert targets.tolist() == [1, 3, 3, 3]
+    net = mincut.build_cut_graph_pair(st, 1, 3)
+    assert same_cut(max_flow_min_cut(net), plain_dinic(net))
 
 
 def test_zero_weight_pair_pricing_sends_exact_ties_to_i(monkeypatch):
@@ -715,9 +777,10 @@ def test_zero_weight_pair_pricing_sends_exact_ties_to_i(monkeypatch):
 @pytest.mark.parametrize("model", ["dag", "tree"])
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_zero_weight_pair_pricing_matches_the_cut_over_whole_runs(monkeypatch, model, k):
-    # whole runs with every pair step cut through its network, from the same
-    # starts, must agree bit for bit: the zero-weight sweeps through the
-    # driver's repair, and both phases of `run_iterative`
+    # whole runs with every pair step cut through its network by the
+    # reduction and Dinic, from the same starts, must agree bit for bit: the
+    # zero-weight sweeps through the driver's repair, and both phases of
+    # `run_iterative` at three weight pairs
     seed = 40 + k
     gen = gen_stree if model == "tree" else functools.partial(gen_sdag, edge_prob=0.02)
     inst = inject_noise(gen(n=120, d=3, k=k, sigma2=0.05, seed=seed), 0.3, seed=seed)
@@ -728,17 +791,45 @@ def test_zero_weight_pair_pricing_matches_the_cut_over_whole_runs(monkeypatch, m
         return [
             alternate(g, f, Penalties(0.0, 0.0), random_init(120, k, seed), cfg,
                       sweep_step(), repair_empty_groups),
-            run_iterative(g, f, Penalties(0.0, 1e5), k, cfg),
+            *(run_iterative(g, f, Penalties(*w), k, cfg)
+              for w in [(0.0, 1e5), (0.5, 2.0), (0.0, math.inf)]),
         ]
 
     calls = counting_builds(monkeypatch)
     priced = runs()
     built = calls[0]
-    monkeypatch.setattr(mincut, "redistribute_pair", cut_every_pair)
-    cut = runs()
+    cut = runs_by_the_reduction(monkeypatch, runs)
     assert 0 < built < calls[0] - built  # the zero-weight steps built no network
-    for a, b in zip(priced, cut):
+    assert_same_runs(priced, cut)
+
+
+def runs_by_the_reduction(monkeypatch, runs):
+    """`runs()` with every pair step cut anew and no cheaper-terminal shortcut."""
+    monkeypatch.setattr(mincut, "redistribute_pair", cut_every_pair)
+    monkeypatch.setattr(mincut, "_cheaper_terminals", lambda net: None)
+    return runs()
+
+
+def assert_same_runs(runs, others):
+    for a, b in zip(runs, others, strict=True):
         assert a.iterations == b.iterations and a.converged == b.converged
         assert np.array_equal(a.partition.assign, b.partition.assign)
         assert a.step_losses == b.step_losses
         assert a.breakdown == b.breakdown
+
+
+def test_cheaper_terminals_match_the_reduction_at_full_size(monkeypatch):
+    # a noisy n = 1000 DAG at (0, 1e5): the run whose cuts end at the
+    # cheaper-terminal choice where no arc crosses it agrees bit for bit with
+    # the run that reduces and cuts every pair network; both ends occur
+    inst = inject_noise(gen_sdag(1000, 10, 5, 0.01, 0.01, seed=1), 0.3, seed=101)
+    cfg = SolveConfig(solver_kind="mcut", seed=0, track_steps=True)
+
+    def runs():
+        return [run_iterative(inst.graph, inst.features, Penalties(0.0, 1e5), 5, cfg)]
+
+    builds = counting_builds(monkeypatch)
+    reductions = counting_builds(monkeypatch, "_fix_forced_nodes")
+    shortcut = runs()
+    assert 0 < reductions[0] < builds[0]
+    assert_same_runs(shortcut, runs_by_the_reduction(monkeypatch, runs))
