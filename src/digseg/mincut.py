@@ -33,10 +33,12 @@ choice, which is therefore the cut.  `redistribute_pair` compares each
 member's two prices, snapped to the same grid, directly: group j iff the
 price of i exceeds the price of j by more than `_EPS`, group i otherwise.
 
-`redistribute_pair` is the whole pair step.  It reads the pair's inputs
-once (`_pair_inputs`: each vertex's band, in group i or j, in a group
-strictly between, or elsewhere, and the two centers from
-`SolveState.centroids`) for both the reuse key and the zero-weight prices.
+`redistribute_pair` is the whole pair step.  One read of the pair's inputs
+(`_pair_inputs`: each vertex's band, in group i or j, in a group strictly
+between, or elsewhere, and the two centers from `SolveState.centroids`)
+serves the reuse key, the zero-weight prices and the build.  Prices take
+the point norms the state already holds (`SolveState.point_sqnorm`), and
+the build classifies each edge by one code from its two ends' bands.
 `sweep_step()` keeps each pair's last answer under those bytes and reuses
 it while the same `SolveState` comes back with them unchanged, bit for
 bit; given the state's graph, features and penalties `_pair_network` reads
@@ -54,7 +56,7 @@ import numpy as np
 
 from .core import DirectedGraph, FeatureMatrix, OrderedPartition, Penalties, _csr, _interleave
 from .config import COMMIT_TOL, Step
-from .objective import Centroids, LossKey, SolveState, fixed_centroid_cost, vertex_group_costs
+from .objective import Centroids, LossKey, SolveState, _sq_distances, fixed_centroid_cost
 
 GRID_SCALE = 2.0**40
 _EPS = 0.5 / GRID_SCALE  # half a grid step: residuals below this are dust
@@ -320,10 +322,16 @@ def _with_terminals(source_caps, sink_caps, tails, heads, caps):
 
 
 def _pair_network(
-    graph: DirectedGraph, values: np.ndarray, bands: np.ndarray, centers, penalties: Penalties
+    graph: DirectedGraph,
+    values: np.ndarray,
+    sqnorm: np.ndarray,
+    bands: np.ndarray,
+    centers: np.ndarray,
+    penalties: Penalties,
 ) -> FlowNetwork:
     """Cut network that splits the members of a group pair (i, j), i < j, between i and j.
 
+    `values` and `sqnorm` are the feature rows and their squared norms;
     `bands` and `centers` are the pair's inputs (`_pair_inputs`): per vertex
     1 for a member, 2 in a group strictly between i and j, 0 elsewhere; and
     the centers of i and j as two rows.  The members become nodes 0..m-1 in
@@ -335,20 +343,20 @@ def _pair_network(
     v's edges to band 2, its infinitely weighted ones counted in
     `inf_counts`; edges to other groups cost the same either way.
     """
-    in_pair, between = bands == 1, bands == 2
-    members = np.flatnonzero(in_pair)
+    members = np.flatnonzero(bands == 1)
     m = members.size
-    costs = _member_prices(values, members, centers)
+    costs = _member_prices(values, sqnorm, members, centers)
 
     local = np.full(graph.n, -1, dtype=np.int64)
     local[members] = np.arange(m)
     esrc, edst = graph.edge_src, graph.edge_dst
-    src_in_pair, dst_in_pair = in_pair[esrc], in_pair[edst]
-    # edges v -> W and W -> v for members v, W the groups strictly between i and j
-    out_to_w = np.bincount(local[esrc[src_in_pair & between[edst]]], minlength=m)
-    in_from_w = np.bincount(local[edst[between[esrc] & dst_in_pair]], minlength=m)
+    # one band code per edge, 3 * tail band + head band: 4 in-pair, 5 member
+    # -> band 2, 7 band 2 -> member
+    code = 3 * bands[esrc] + bands[edst]
+    out_to_w = np.bincount(local[esrc[code == 5]], minlength=m)
+    in_from_w = np.bincount(local[edst[code == 7]], minlength=m)
 
-    both = src_in_pair & dst_in_pair
+    both = code == 4
     tails, heads = local[esrc[both]], local[edst[both]]
     to_j_count, to_j = penalties.split(in_from_w, out_to_w)
     to_i_count, to_i = penalties.split(out_to_w, in_from_w)
@@ -363,10 +371,11 @@ def _pair_network(
     return FlowNetwork.from_arcs(m + 2, m, m + 1, *arcs, node_labels=members, inf_counts=counts)
 
 
-def _member_prices(values: np.ndarray, members: np.ndarray, centers) -> np.ndarray:
+def _member_prices(
+    values: np.ndarray, sqnorm: np.ndarray, members: np.ndarray, centers: np.ndarray
+) -> np.ndarray:
     """(m, 2) squared distances of the member rows of `values` to the two `centers` rows."""
-    # rows of a FeatureMatrix are finite already: no from_array copy and check
-    return vertex_group_costs(FeatureMatrix(values[members]), Centroids.from_rows(centers))
+    return _sq_distances(values[members], sqnorm[members], centers)
 
 
 def build_cut_graph_k2(
@@ -382,12 +391,19 @@ def build_cut_graph_k2(
     internal node v is graph vertex v; source = n, sink = n + 1.  The arc
     (s, v) weighs the cost of assigning v to group 2, the arc (v, t) the cost
     of group 1; each graph edge (v, w) adds (v, w) at lambda_f and (w, v) at
-    lambda_b.
+    lambda_b.  Centers that do not form two rows of the features' dimension
+    raise ValueError.
     """
     if features.n != graph.n:
         raise ValueError("feature row count does not match graph vertex count")
+    centers = Centroids.from_rows([mu1, mu2]).mu
+    if centers.shape[1] != features.d:
+        raise ValueError(
+            f"centers have dimension {centers.shape[1]} but features have dimension {features.d}"
+        )
+    values = features.values
     bands = np.ones(graph.n, dtype=np.int8)  # every vertex is a member
-    return _pair_network(graph, features.values, bands, [mu1, mu2], penalties)
+    return _pair_network(graph, values, (values * values).sum(axis=1), bands, centers, penalties)
 
 
 def solve_two_partition(
@@ -409,17 +425,23 @@ def solve_two_partition(
     return partition, cost
 
 
-def build_cut_graph_pair(state: SolveState, i: int, j: int) -> FlowNetwork:
+def build_cut_graph_pair(
+    state: SolveState, i: int, j: int, inputs: Optional[tuple[np.ndarray, np.ndarray]] = None
+) -> FlowNetwork:
     """Cut network that redistributes the members of groups i and j (i < j).
 
     Only those vertices appear as internal nodes (`node_labels` maps them
     back), and both groups need a defined center.  Their terminal arcs also
     price the edges to the groups strictly between i and j, and arc weights
-    come from `state.penalties`.
+    come from `state.penalties`.  `inputs`, the pair's `(bands, centers)` as
+    `_pair_inputs` reads them from this state, spares reading them again.
     """
     if not (1 <= i < j <= state.k):
         raise ValueError(f"expected 1 <= i < j <= {state.k}, got ({i}, {j})")
-    return _pair_network(state.graph, state.values, *_pair_inputs(state, i, j), state.penalties)
+    bands, centers = _pair_inputs(state, i, j) if inputs is None else inputs
+    return _pair_network(
+        state.graph, state.values, state.point_sqnorm, bands, centers, state.penalties
+    )
 
 
 def redistribute_pair(
@@ -447,10 +469,10 @@ def redistribute_pair(
     if last is not None and last[0] == key:
         to_j = last[1]
     elif state.penalties.is_zero:
-        prices = _snap(_member_prices(state.values, members, centers))
+        prices = _snap(_member_prices(state.values, state.point_sqnorm, members, centers))
         to_j = prices[:, 0] - prices[:, 1] > _EPS
     else:
-        _, side = max_flow_min_cut(build_cut_graph_pair(state, i, j))
+        _, side = max_flow_min_cut(build_cut_graph_pair(state, i, j, (bands, centers)))
         to_j = ~side[: members.size]
     cuts[(i, j)] = (key, to_j)
     return members, np.where(to_j, j, i)

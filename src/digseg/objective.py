@@ -137,11 +137,16 @@ def vertex_group_costs(features: FeatureMatrix, centroids: Centroids) -> np.ndar
     unusable for fixed-center solvers.
     """
     vals = features.values
-    pt_sq = (vals * vals).sum(axis=1)
-    mu_sq = (centroids.mu * centroids.mu).sum(axis=1)
-    costs = pt_sq[:, None] + mu_sq[None, :] - 2.0 * (vals @ centroids.mu.T)
-    np.maximum(costs, 0.0, out=costs)
+    costs = _sq_distances(vals, (vals * vals).sum(axis=1), centroids.mu)
     costs[:, ~centroids.defined] = math.inf
+    return costs
+
+
+def _sq_distances(values: np.ndarray, sqnorm: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """(rows, centers) squared distances from the rows of `values`, whose squared
+    norms are `sqnorm`, to the rows of `mu`, clamped at 0."""
+    costs = sqnorm[:, None] + (mu * mu).sum(axis=1)[None, :] - 2.0 * (values @ mu.T)
+    np.maximum(costs, 0.0, out=costs)
     return costs
 
 

@@ -29,9 +29,10 @@ from digseg.driver import random_init, repair_empty_groups, run_iterative
 from digseg.greedy import scan_step
 from digseg import mincut
 from digseg.mincut import FlowNetwork, pair_sweep, redistribute_pair, sweep_step
-from digseg.objective import cross_edge_counts
+from digseg.objective import cross_edge_counts, vertex_group_costs
 from digseg.experiments import adjusted_rand_index, gen_sdag, gen_stree, inject_noise
 from conftest import finite_parts, random_digraph, random_features, rel_close
+import pair_network_reference
 
 
 def all_source_sides(net: FlowNetwork):
@@ -261,6 +262,17 @@ def test_k2_network_rejects_feature_rows_not_matching_vertices():
     for rows in ([[0.0], [1.0]], [[0.0], [1.0], [2.0], [3.0]]):
         with pytest.raises(ValueError, match="feature row count"):
             build_cut_graph_k2(g, FeatureMatrix.from_array(rows), [0.0], [3.0], Penalties(0.0, 1.0))
+
+
+@pytest.mark.parametrize("solve", [build_cut_graph_k2, solve_two_partition])
+def test_k2_rejects_centers_that_are_not_two_feature_rows(solve):
+    g = DirectedGraph.from_edges(2, [(0, 1)])
+    f = FeatureMatrix.from_array([[0.0, 1.0], [1.0, 0.0]])
+    pen = Penalties(0.0, 1.0)
+    with pytest.raises(ValueError, match="centroid rows must form a 2-dimensional matrix"):
+        solve(g, f, 0.0, 1.0, pen)
+    with pytest.raises(ValueError, match="centers have dimension 1 but features have dimension 2"):
+        solve(g, f, [0.0], [1.0], pen)
 
 
 def test_k2_infinite_weight_becomes_sentinel():
@@ -833,3 +845,79 @@ def test_cheaper_terminals_match_the_reduction_at_full_size(monkeypatch):
     shortcut = runs()
     assert 0 < reductions[0] < builds[0]
     assert_same_runs(shortcut, runs_by_the_reduction(monkeypatch, runs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hst.integers(2, 60), hst.integers(1, 12), hst.integers(2, 5), hst.booleans(),
+    hst.sampled_from([1.0, 0.1, 1e5]), hst.integers(0, 2**32 - 1),
+)
+def test_pair_prices_match_vertex_group_costs(n, d, k, integer, scale, seed):
+    # integer or float features, with prices below 2^12 (snapped) or above it:
+    # the prices from the state's point norms equal, bit for bit, the
+    # objective's squared distances of the member rows to the pair's centers
+    rng = np.random.default_rng(seed)
+    raw = rng.integers(-3, 4, size=(n, d)) if integer else rng.normal(size=(n, d))
+    f = FeatureMatrix.from_array(raw * scale)
+    st = SolveState(DirectedGraph.from_edges(n, []), f, Penalties(0.0, 0.0),
+                    rng.integers(1, k + 1, size=n), k)
+    for i, j in itertools.combinations(range(1, k + 1), 2):
+        if st.counts[i] == 0 or st.counts[j] == 0:
+            continue
+        bands, centers = mincut._pair_inputs(st, i, j)
+        members = np.flatnonzero(bands == 1)
+        prices = mincut._member_prices(st.values, st.point_sqnorm, members, centers)
+        costs = vertex_group_costs(FeatureMatrix(f.values[members]), Centroids.from_rows(centers))
+        assert prices.tobytes() == costs.tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(pair_states(hst.sampled_from(CERTIFICATE_WEIGHTS)))
+def test_pair_network_matches_the_reference_builder(problem):
+    st, i, j = problem
+    reference = pair_network_reference.state_pair_network(st, i, j)
+    assert pair_network_reference.same_network(build_cut_graph_pair(st, i, j), reference)
+    inputs = mincut._pair_inputs(st, i, j)
+    assert pair_network_reference.same_network(build_cut_graph_pair(st, i, j, inputs), reference)
+
+
+def test_pair_network_matches_the_reference_builder_over_a_full_size_run(monkeypatch):
+    # every weighted pair step of a noisy n = 1000 DAG run at (0, 1e5) lays out
+    # the reference builder's network
+    inst = inject_noise(gen_sdag(1000, 10, 5, 0.01, 0.01, seed=1), 0.3, seed=101)
+    build = mincut.build_cut_graph_pair
+    checked = [0]
+
+    def checked_build(state, i, j, *inputs):
+        net = build(state, i, j, *inputs)
+        assert pair_network_reference.same_network(
+            net, pair_network_reference.state_pair_network(state, i, j)
+        )
+        checked[0] += 1
+        return net
+
+    monkeypatch.setattr(mincut, "build_cut_graph_pair", checked_build)
+    cfg = SolveConfig(solver_kind="mcut", seed=0, track_steps=True)
+    run_iterative(inst.graph, inst.features, Penalties(0.0, 1e5), 5, cfg)
+    assert checked[0] > 0
+
+
+def test_pair_step_reads_its_inputs_once(monkeypatch):
+    # one `_pair_inputs` call per non-empty pair step serves the reuse key,
+    # the zero-weight prices and the build
+    inst = gen_sdag(1000, 10, 5, 0.01, 0.01, seed=1)
+    reads = counting_builds(monkeypatch, "_pair_inputs")
+    builds = counting_builds(monkeypatch)
+    step = mincut.redistribute_pair
+    steps = [0]
+
+    def counted_step(*args):
+        result = step(*args)
+        steps[0] += result is not None
+        return result
+
+    monkeypatch.setattr(mincut, "redistribute_pair", counted_step)
+    cfg = SolveConfig(solver_kind="mcut", seed=0)
+    run_iterative(inst.graph, inst.features, Penalties(0.0, 1e5), 5, cfg)
+    assert builds[0] > 0
+    assert reads[0] == steps[0]
